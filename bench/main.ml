@@ -644,10 +644,11 @@ let gov_guard () =
       | Symbad_sat.Solver.Sat -> `Bad "Sat"
       | Symbad_sat.Solver.Unsat -> `Bad "Unsat");
   check "mc: bmc" ~max_s:1.0 (fun () ->
-      match Symbad_mc.Bmc.check ~gov:(zero ()) ~depth:8 fifo prop with
-      | Symbad_mc.Bmc.Resource_out -> `Ok
-      | Symbad_mc.Bmc.Holds -> `Bad "Holds"
-      | Symbad_mc.Bmc.Counterexample _ -> `Bad "Counterexample");
+      let module S = Symbad_mc.Session in
+      match S.check_upto ~gov:(zero ()) ~depth:8 (S.create fifo prop) with
+      | S.Base_unknown -> `Ok
+      | S.Base_holds -> `Bad "Holds"
+      | S.Base_cex _ -> `Bad "Counterexample");
   check "mc: engine" ~max_s:1.0 (fun () ->
       let r = Symbad_mc.Engine.check ~gov:(zero ()) fifo prop in
       match r.Symbad_mc.Engine.verdict with
@@ -789,7 +790,7 @@ let micro_benchmarks () =
       (* E8: BMC on the fifo controller *)
       Test.make ~name:"E8_bmc_fifo_depth8"
         (Staged.stage (fun () ->
-             Symbad_mc.Bmc.check ~depth:8 fifo fifo_prop));
+             Symbad_mc.Session.(check_upto ~depth:8 (create fifo fifo_prop))));
       (* A1: the context-partition sweep *)
       Test.make ~name:"A1_placement_sweep"
         (Staged.stage (fun () ->

@@ -14,8 +14,7 @@ type outcome =
 val all_targets : Symbad_hdl.Netlist.t -> target list
 (** Both polarities of every output bit. *)
 
-val cover_target :
-  ?max_depth:int -> ?max_conflicts:int -> Symbad_hdl.Netlist.t -> target -> outcome
+val cover_target : ?max_depth:int -> Symbad_hdl.Netlist.t -> target -> outcome
 
 type report = {
   covered : int;
@@ -24,13 +23,8 @@ type report = {
   tests : int array list list;  (** one input sequence per covered target *)
 }
 
-val generate :
-  ?max_depth:int -> ?max_conflicts:int -> Symbad_hdl.Netlist.t -> report
-(** Chase every target of the netlist.
-
-    [max_conflicts] is the historical per-call budget knob, deprecated
-    in favour of dispatching through a governor-shaped driver (see
-    [Symbad_core.Engines] for the unified
-    [?gov ?pool ?jobs ~seed target] shape). *)
+val generate : ?max_depth:int -> Symbad_hdl.Netlist.t -> report
+(** Chase every target of the netlist, each up to [max_depth] (default
+    8) cycles. *)
 
 val pp_report : Format.formatter -> report -> unit

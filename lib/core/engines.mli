@@ -15,9 +15,9 @@
     library ({!Symbad_resil.Campaign.check} — resil sits above core in
     the stack and cannot be re-exported here).
 
-    These drivers supersede the historical per-engine entry points with
-    their ad-hoc budget knobs ([?max_conflicts] and friends), which
-    remain for callers that need the raw reports. *)
+    [gov] is the only limit on solver effort; the per-engine entry
+    points these drivers wrap take the same governor and remain for
+    callers that need the raw reports. *)
 
 val lint :
   ?gov:Symbad_gov.Gov.t ->

@@ -35,24 +35,25 @@ let edge_loc (e : Cfg.edge) =
     (Cfg.action_to_string e.Cfg.action)
 
 (* Deterministic edge order for reporting. *)
-let edges ctx =
+let edges (cfg : Cfg.t) =
   List.sort
     (fun (a : Cfg.edge) (b : Cfg.edge) ->
       compare
         (a.Cfg.src, a.Cfg.dst, Cfg.action_to_string a.Cfg.action)
         (b.Cfg.src, b.Cfg.dst, Cfg.action_to_string b.Cfg.action))
-    ctx.cfg.Cfg.edges
+    cfg.Cfg.edges
+
+(* The transfer function: [Reconfig] is a strong update, everything
+   else the identity.  [Sched_rules] reuses it over the product graph. *)
+let transfer (a : Cfg.action) s =
+  match a with
+  | Cfg.Reconfig c -> if States.is_empty s then s else States.singleton (Some c)
+  | Cfg.Nop | Cfg.Call _ -> s
 
 (* The may-analysis fixpoint: reachable nodes have non-empty sets. *)
-let may_states ctx =
-  let cfg = ctx.cfg in
+let may_states (cfg : Cfg.t) =
   let states = Array.make cfg.Cfg.nnodes States.empty in
   states.(cfg.Cfg.entry) <- States.singleton None;
-  let transfer (a : Cfg.action) s =
-    match a with
-    | Cfg.Reconfig c -> if States.is_empty s then s else States.singleton (Some c)
-    | Cfg.Nop | Cfg.Call _ -> s
-  in
   let changed = ref true in
   while !changed do
     changed := false;
@@ -70,17 +71,18 @@ let may_states ctx =
 
 let state_label = function None -> "unloaded" | Some c -> c
 
-let providers ctx f s =
+(* The states of [s] whose configuration provides FPGA function [f]. *)
+let providers ci f s =
   States.filter
     (function
-      | Some c -> Ci.has_configuration ctx.ci c && Ci.provides ctx.ci ~config:c f
+      | Some c -> Ci.has_configuration ci c && Ci.provides ci ~config:c f
       | None -> false)
     s
 
 (* --- cfg.never-loaded / cfg.maybe-unloaded ----------------------------- *)
 
 let call_findings ctx =
-  let may = may_states ctx in
+  let may = may_states ctx.cfg in
   List.filter_map
     (fun (e : Cfg.edge) ->
       match e.Cfg.action with
@@ -88,13 +90,13 @@ let call_findings ctx =
           let s = may.(e.Cfg.src) in
           if States.is_empty s then None (* unreachable: not a call defect *)
           else
-            let good = providers ctx f s in
+            let good = providers ctx.ci f s in
             if States.is_empty good then Some (`Never, e, f, s)
             else if States.cardinal good < States.cardinal s then
               Some (`Maybe, e, f, s)
             else None
       | _ -> None)
-    (edges ctx)
+    (edges ctx.cfg)
 
 let rule_never_loaded ctx =
   List.filter_map
@@ -148,12 +150,12 @@ let rule_unknown_config ctx =
                (Printf.sprintf "reconfiguration loads unknown configuration \
                                 '%s'" c))
       | _ -> None)
-    (edges ctx)
+    (edges ctx.cfg)
 
 (* --- cfg.redundant-config ---------------------------------------------- *)
 
 let rule_redundant_config ctx =
-  let may = may_states ctx in
+  let may = may_states ctx.cfg in
   List.filter_map
     (fun (e : Cfg.edge) ->
       match e.Cfg.action with
@@ -166,12 +168,12 @@ let rule_redundant_config ctx =
                (Printf.sprintf
                   "configuration '%s' is already loaded on every path here" c))
       | _ -> None)
-    (edges ctx)
+    (edges ctx.cfg)
 
 (* --- cfg.unreachable-config -------------------------------------------- *)
 
 let rule_unreachable_config ctx =
-  let may = may_states ctx in
+  let may = may_states ctx.cfg in
   List.filter_map
     (fun (e : Cfg.edge) ->
       match e.Cfg.action with
@@ -182,4 +184,4 @@ let rule_unreachable_config ctx =
                ~hint:"dead code: remove it or fix the control flow"
                (Printf.sprintf "unreachable reconfiguration of '%s'" c))
       | _ -> None)
-    (edges ctx)
+    (edges ctx.cfg)

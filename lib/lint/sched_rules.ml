@@ -4,7 +4,8 @@
    Solo, each may be clean under [Program_rules]'s may-analysis; the
    hazard this family adds is *interleaving*: between a tenant's
    reconfiguration and its FPGA call, another tenant may reload the
-   fabric.  The interference analysis runs the same may-loaded fixpoint
+   fabric.  The solo analysis is [Program_rules.may_states] itself; the
+   interference analysis runs the same transfer function to a fixpoint
    over the product of two CFGs — nodes are pairs, edges interleave one
    step of either tenant, the fabric state is shared and [Reconfig] is
    still a strong update — so a call that is provably loaded solo can
@@ -22,11 +23,7 @@ module Cfg = Symbad_symbc.Cfg
 module Ci = Symbad_symbc.Config_info
 module D = Diagnostic
 
-module States = Set.Make (struct
-  type t = string option
-
-  let compare = Option.compare String.compare
-end)
+module States = Program_rules.States
 
 type ctx = {
   target : string;
@@ -47,30 +44,6 @@ let context ?(cost_ns = default_cost_ns) ?deadline_ns ?(target = "tenants") ci
 let diag ctx ?hint ~rule ~severity ~location message =
   D.make ?hint ~rule ~severity ~target:ctx.target ~location message
 
-let transfer (a : Cfg.action) s =
-  match a with
-  | Cfg.Reconfig c -> if States.is_empty s then s else States.singleton (Some c)
-  | Cfg.Nop | Cfg.Call _ -> s
-
-(* Solo may-analysis — same fixpoint as [Program_rules.may_states]. *)
-let solo_states (cfg : Cfg.t) =
-  let states = Array.make cfg.Cfg.nnodes States.empty in
-  states.(cfg.Cfg.entry) <- States.singleton None;
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun (e : Cfg.edge) ->
-        let out = transfer e.Cfg.action states.(e.Cfg.src) in
-        let merged = States.union states.(e.Cfg.dst) out in
-        if not (States.equal merged states.(e.Cfg.dst)) then begin
-          states.(e.Cfg.dst) <- merged;
-          changed := true
-        end)
-      cfg.Cfg.edges
-  done;
-  states
-
 (* Interleaved-product may-analysis of tenants [a] and [b]: node
    (u, v) indexed as [u * b.nnodes + v], fabric state shared. *)
 let product_states (a : Cfg.t) (b : Cfg.t) =
@@ -79,7 +52,7 @@ let product_states (a : Cfg.t) (b : Cfg.t) =
   states.((a.Cfg.entry * nb) + b.Cfg.entry) <- States.singleton None;
   let changed = ref true in
   let relax src dst action =
-    let out = transfer action states.(src) in
+    let out = Program_rules.transfer action states.(src) in
     let merged = States.union states.(dst) out in
     if not (States.equal merged states.(dst)) then begin
       states.(dst) <- merged;
@@ -103,22 +76,6 @@ let product_states (a : Cfg.t) (b : Cfg.t) =
   done;
   states
 
-let providers ctx f s =
-  States.filter
-    (function
-      | Some c -> Ci.has_configuration ctx.ci c && Ci.provides ctx.ci ~config:c f
-      | None -> false)
-    s
-
-(* Deterministic edge order, as in [Program_rules]. *)
-let sorted_edges (cfg : Cfg.t) =
-  List.sort
-    (fun (a : Cfg.edge) (b : Cfg.edge) ->
-      compare
-        (a.Cfg.src, a.Cfg.dst, Cfg.action_to_string a.Cfg.action)
-        (b.Cfg.src, b.Cfg.dst, Cfg.action_to_string b.Cfg.action))
-    cfg.Cfg.edges
-
 (* --- sched.context-conflict -------------------------------------------- *)
 
 (* FPGA-call edges of [cfg] that the *solo* analysis already certifies:
@@ -126,7 +83,7 @@ let sorted_edges (cfg : Cfg.t) =
    solo analysis flags are [cfg.never-loaded]/[cfg.maybe-unloaded]
    findings on the tenant itself, not interference. *)
 let solo_clean_calls ctx (cfg : Cfg.t) =
-  let solo = solo_states cfg in
+  let solo = Program_rules.may_states cfg in
   List.filter_map
     (fun (e : Cfg.edge) ->
       match e.Cfg.action with
@@ -134,11 +91,11 @@ let solo_clean_calls ctx (cfg : Cfg.t) =
           let s = solo.(e.Cfg.src) in
           if
             (not (States.is_empty s))
-            && States.equal (providers ctx f s) s
+            && States.equal (Program_rules.providers ctx.ci f s) s
           then Some (e, f)
           else None
       | _ -> None)
-    (sorted_edges cfg)
+    (Program_rules.edges cfg)
 
 let rule_context_conflict ctx =
   let seen = Hashtbl.create 8 in
@@ -153,7 +110,7 @@ let rule_context_conflict ctx =
         for v = 0 to nb - 1 do
           s := States.union !s product.((e.Cfg.src * nb) + v)
         done;
-        let bad = States.diff !s (providers ctx f !s) in
+        let bad = States.diff !s (Program_rules.providers ctx.ci f !s) in
         match States.elements bad with
         | [] -> None
         | witness :: _ ->

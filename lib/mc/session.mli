@@ -4,8 +4,8 @@
     Frames are unrolled on demand and each BMC bound is posed as a
     retractable query through an activation literal (the convention
     documented on {!Symbad_sat.Solver.add_clause}), so learned clauses
-    survive across bounds and into the inductive step.  {!Bmc} and
-    {!Engine} are thin drivers over this module.
+    survive across bounds and into the inductive step.  {!Engine} is a
+    thin driver over this module.
 
     Sessions are single-domain state: create and drive a session from
     one domain (the [Par] fan-outs in {!Engine.check_all} give each
@@ -27,8 +27,7 @@ type base_result =
   | Base_cex of Trace.t  (** concrete reset-path violation *)
   | Base_unknown  (** resource budget exhausted inside the SAT call *)
 
-val check_bound :
-  ?max_conflicts:int -> ?gov:Symbad_gov.Gov.t -> t -> int -> base_result
+val check_bound : ?gov:Symbad_gov.Gov.t -> t -> int -> base_result
 (** [check_bound t k] decides whether some reset path violates the
     property at exactly depth [k] (bounds below [k] are {e not}
     re-examined — drive bounds in ascending order for BMC semantics).
@@ -36,7 +35,16 @@ val check_bound :
     asserted into the instance; re-posing a closed bound returns
     immediately without solving or allocating variables.  [gov] bounds
     and is charged for the embedded SAT call, exactly as
-    {!Symbad_sat.Solver.solve_outcome}. *)
+    {!Symbad_sat.Solver.solve}. *)
+
+val check_upto : ?gov:Symbad_gov.Gov.t -> depth:int -> t -> base_result
+(** Bounded model checking over [0, depth]: {!check_bound} at each bound
+    in ascending order, stopping at the first [Base_cex] or
+    [Base_unknown].  [Base_holds] means no reset path violates the
+    property within [depth] steps (a step property at depth [k] spans
+    states [k] and [k + 1]).  [gov] is polled before each bound; an
+    exhausted governor yields [Base_unknown] without another SAT call,
+    and the bounds below the one that ran out were fully checked. *)
 
 type step_result =
   | Inductive
@@ -46,11 +54,12 @@ type step_result =
           necessarily reachable *)
   | Step_unknown  (** resource budget exhausted inside the SAT call *)
 
-val induction :
-  ?max_conflicts:int -> ?gov:Symbad_gov.Gov.t -> t -> int -> step_result
+val induction : ?gov:Symbad_gov.Gov.t -> t -> int -> step_result
 (** The inductive step at depth [k >= 1] over the free-initial-state
     instance: assumes [P@0 .. P@k-1] and [-P@k] — nothing is asserted,
-    so one instance serves every [k] and repeated queries are cheap. *)
+    so one instance serves every [k] and repeated queries are cheap.
+    Together with {!check_upto} at depth [k] returning [Base_holds],
+    [Inductive] proves the property.  [gov] as in {!check_bound}. *)
 
 val base_nvars : t -> int
 (** Variable count of the reset-initialised instance (0 before first

@@ -26,35 +26,33 @@ type report = {
 }
 
 module Gov = Symbad_gov.Gov
+module Session = Symbad_mc.Session
 
 (* Does any property fail on [mutant] within [depth] cycles? *)
-let first_failing_property ~depth ~max_conflicts ~gov mutant props =
-  let rec go = function
-    | [] -> None
-    | p :: rest -> (
-        match Symbad_mc.Bmc.check ~max_conflicts ~gov ~depth mutant p with
-        | Symbad_mc.Bmc.Counterexample _ -> Some (Symbad_mc.Prop.name p)
-        | Symbad_mc.Bmc.Holds | Symbad_mc.Bmc.Resource_out -> go rest)
-  in
-  go props
+let first_failing_property ~depth ~gov mutant props =
+  List.find_map
+    (fun p ->
+      match Session.check_upto ~gov ~depth (Session.create mutant p) with
+      | Session.Base_cex _ -> Some (Symbad_mc.Prop.name p)
+      | Session.Base_holds | Session.Base_unknown -> None)
+    props
 
-let check_fault ~depth ~max_conflicts ~gov nl props fault =
+let check_fault ~depth ~gov nl props fault =
   if Gov.out_of_budget gov then { fault; status = Unresolved }
   else begin
     (* one pattern per fault classified: the governed unit of PCC work *)
     Gov.charge_patterns gov 1;
     let mutant = Fault.apply nl fault in
-    match Miter.detectable ~depth ~max_conflicts ~gov nl mutant with
+    match Miter.detectable ~depth ~gov nl mutant with
     | `Undetectable_within _ -> { fault; status = Undetectable }
     | `Resource_out -> { fault; status = Unresolved }
     | `Detectable _ -> (
-        match first_failing_property ~depth ~max_conflicts ~gov mutant props with
+        match first_failing_property ~depth ~gov mutant props with
         | Some name -> { fault; status = Covered name }
         | None -> { fault; status = Uncovered })
   end
 
-let run ?pool ?(depth = 10) ?(max_conflicts = 100_000) ?max_reg_bits ?gov nl
-    props =
+let run ?pool ?(depth = 10) ?max_reg_bits ?gov nl props =
   let pool = Symbad_par.Par.get pool in
   let gov = Gov.get gov in
   let faults = Fault.enumerate ?max_reg_bits nl in
@@ -70,8 +68,7 @@ let run ?pool ?(depth = 10) ?(max_conflicts = 100_000) ?max_reg_bits ?gov nl
     | faults ->
         let shares = Gov.split ~label:"pcc.faults" gov (List.length faults) in
         Symbad_par.Par.map ~label:"pcc.faults" pool
-          (fun (fault, g) ->
-            check_fault ~depth ~max_conflicts ~gov:g nl props fault)
+          (fun (fault, g) -> check_fault ~depth ~gov:g nl props fault)
           (List.combine faults shares)
   in
   let detectable =

@@ -471,8 +471,10 @@ let wrapper_gen_checkers_catch_mutations () =
         | `Detectable _ ->
             List.exists
               (fun p ->
-                match Symbad_mc.Bmc.check ~depth:6 mutant p with
-                | Symbad_mc.Bmc.Counterexample _ -> true
+                match
+                  Symbad_mc.Session.(check_upto ~depth:6 (create mutant p))
+                with
+                | Symbad_mc.Session.Base_cex _ -> true
                 | _ -> false)
               props)
       faults

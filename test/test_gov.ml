@@ -181,10 +181,12 @@ let engines_degrade_instantly () =
   | Symbad_sat.Solver.Unknown -> ()
   | _ -> Alcotest.fail "sat: expected Unknown");
   (match
-     within_1s "bmc" (fun () -> Symbad_mc.Bmc.check ~gov:(zero ()) ~depth:8 f prop)
+     within_1s "bmc" (fun () ->
+         let module S = Symbad_mc.Session in
+         S.check_upto ~gov:(zero ()) ~depth:8 (S.create f prop))
    with
-  | Symbad_mc.Bmc.Resource_out -> ()
-  | _ -> Alcotest.fail "bmc: expected Resource_out");
+  | Symbad_mc.Session.Base_unknown -> ()
+  | _ -> Alcotest.fail "bmc: expected Base_unknown");
   (let r = within_1s "mc engine" (fun () -> Symbad_mc.Engine.check ~gov:(zero ()) f prop) in
    match r.Symbad_mc.Engine.verdict with
    | Symbad_mc.Engine.Unknown { reason } ->

@@ -299,9 +299,10 @@ let synth_detects_comb_loop () =
      way, [recovery]'s retry and no-op counters are compare-guarded
      (escalation proves both), [root]'s num update wraps by
      two's-complement construction (escalation returns the concrete
-     wrap trace) and [argmin]'s accumulation outruns the prover's
-     budget (escalation reports it inconclusive).  Each stays
-     escalatable on demand. *)
+     wrap trace) and [argmin]'s count wraps only beyond the prover's
+     depth bound (escalation reports it inconclusive at k = 12).  Each
+     stays escalatable on demand; [corpus_escalation_pinned] pins the
+     outcomes. *)
 let repo_corpus_is_clean () =
   let module R = Symbad_hdl.Rtl_lib in
   let clean ?suppress name nl =
@@ -496,6 +497,55 @@ let escalation_jobs_invariant () =
             (digest (Some pool))))
     [ 1; 2; 4 ]
 
+(* The escalation outcome over the RTL corpus and the recovery
+   controller, as [symbad lint --escalate] computes it (ungoverned,
+   [max_depth] 12).  Pinned per target so that a change to
+   escalation's bounds cannot silently flip a discharge. *)
+let corpus_escalation_pinned () =
+  let escalated nl props =
+    let properties =
+      List.map (fun p -> (Symbad_mc.Prop.name p, Symbad_mc.Prop.formula p)) props
+    in
+    Lint.escalate ~properties nl (Lint.run_netlist ~properties nl)
+  in
+  let outcome (r : Lint.report) =
+    List.filter_map
+      (fun (d : Diagnostic.t) ->
+        match d.Diagnostic.discharged with
+        | None -> None
+        | Some g ->
+            let what =
+              match (g.Diagnostic.status, g.Diagnostic.counterexample) with
+              | Diagnostic.Disproved, Some _ -> "disproved with trace"
+              | Diagnostic.Inconclusive, _ -> "inconclusive: " ^ g.Diagnostic.detail
+              | status, _ -> Diagnostic.discharge_label status
+            in
+            Some (d.Diagnostic.rule ^ " " ^ what))
+      r.Lint.diagnostics
+  in
+  let rtl =
+    List.map
+      (fun (m : Symbad_core.Level4.rtl_module) ->
+        escalated m.Symbad_core.Level4.netlist m.Symbad_core.Level4.properties)
+      (Symbad_core.Level4.modules ())
+  in
+  let recovery =
+    let nl = Symbad_resil.Recovery.netlist () in
+    escalated nl (Symbad_resil.Recovery.properties nl)
+  in
+  let disproved = "net.range disproved with trace" in
+  Alcotest.(check (list (pair string (list string))))
+    "discharges per target"
+    [
+      ("distance", [ disproved; disproved; disproved; disproved ]);
+      ("root", [ disproved ]);
+      ("wrapper", []);
+      ("argmin", [ "net.range inconclusive: no proof within k=12" ]);
+      ("IFGEN", []);
+      ("recovery_ctrl", [ "net.range proved"; "net.range proved" ]);
+    ]
+    (List.map (fun r -> (r.Lint.target, outcome r)) (rtl @ [ recovery ]))
+
 (* --- schedule rules over tenant sets ---------------------------------- *)
 
 let sched_conflict () =
@@ -628,6 +678,8 @@ let suite =
       escalation_roundtrip;
     Alcotest.test_case "escalation is jobs-width invariant" `Quick
       escalation_jobs_invariant;
+    Alcotest.test_case "corpus escalation outcome is pinned" `Slow
+      corpus_escalation_pinned;
     Alcotest.test_case "sched.context-conflict on interleaved tenants" `Quick
       sched_conflict;
     Alcotest.test_case "sched.wcrt vs the admission deadline" `Quick sched_wcrt;

@@ -54,21 +54,23 @@ let prop_next_rewrites () =
 
 (* --- BMC --- *)
 
+let bmc ~depth nl p = Session.check_upto ~depth (Session.create nl p)
+
 let bmc_finds_shallow_bug () =
-  match Bmc.check ~depth:6 fifo p_false with
-  | Bmc.Counterexample tr ->
+  match bmc ~depth:6 fifo p_false with
+  | Session.Base_cex tr ->
       (* counter reaches 2 after two pushes: trace length 3 states *)
       Alcotest.(check int) "trace length" 3 (Trace.length tr)
   | _ -> Alcotest.fail "expected counterexample"
 
 let bmc_holds_within_depth () =
-  match Bmc.check ~depth:6 fifo p_count_bound with
-  | Bmc.Holds -> ()
+  match bmc ~depth:6 fifo p_count_bound with
+  | Session.Base_holds -> ()
   | _ -> Alcotest.fail "expected hold"
 
 let bmc_counterexample_is_concrete () =
-  match Bmc.check ~depth:6 fifo p_false with
-  | Bmc.Counterexample tr ->
+  match bmc ~depth:6 fifo p_false with
+  | Session.Base_cex tr ->
       (* replay the trace inputs on the simulator and reconfirm *)
       let sim = Simulator.create fifo in
       List.iteri
@@ -96,16 +98,16 @@ let bmc_counterexample_is_concrete () =
 (* --- k-induction --- *)
 
 let induction_proves () =
-  match Bmc.inductive_step ~k:1 fifo p_count_bound with
-  | Bmc.Inductive -> ()
+  match Session.induction (Session.create fifo p_count_bound) 1 with
+  | Session.Inductive -> ()
   | _ -> Alcotest.fail "count bound is 1-inductive"
 
 let induction_cti_for_unreachable_claim () =
   (* "count <= 2" holds up to depth but is not inductive (from count=2 a
      push gives 3): expect a CTI, not a proof *)
   let p = Prop.make ~name:"le2" (E.ule (E.reg "count") (E.const ~width:cw 2)) in
-  match Bmc.inductive_step ~k:1 fifo p with
-  | Bmc.Cti _ -> ()
+  match Session.induction (Session.create fifo p) 1 with
+  | Session.Cti _ -> ()
   | _ -> Alcotest.fail "expected counterexample-to-induction"
 
 (* --- Explicit --- *)
@@ -286,10 +288,9 @@ let qcheck_bmc_explicit_agree =
           (E.ule (E.reg "count") (E.const ~width:cw threshold))
       in
       let bmc_says =
-        match Bmc.check ~depth:8 fifo p with
-        | Bmc.Counterexample _ -> false
-        | Bmc.Holds -> true
-        | Bmc.Resource_out -> true
+        match bmc ~depth:8 fifo p with
+        | Session.Base_cex _ -> false
+        | Session.Base_holds | Session.Base_unknown -> true
       in
       let explicit_says =
         match Explicit.check fifo p with

@@ -80,9 +80,16 @@ let conflict_budget () =
       done
     done
   done;
-  match Solver.solve ~max_conflicts:5 s with
+  let module Gov = Symbad_gov.Gov in
+  let gov = Gov.create (Symbad_gov.Budget.make ~conflicts:5 ()) in
+  let before = (Solver.stats s).Solver.conflicts in
+  (match Solver.solve ~gov s with
   | Solver.Unknown -> ()
-  | Solver.Sat | Solver.Unsat -> Alcotest.fail "expected resource-out"
+  | Solver.Sat | Solver.Unsat -> Alcotest.fail "expected resource-out");
+  (* the governor is charged exactly what the call spent *)
+  Alcotest.(check int) "charged = spent"
+    ((Solver.stats s).Solver.conflicts - before)
+    (Gov.spent_conflicts gov)
 
 let new_var_growth () =
   let s = Solver.create 0 in
@@ -297,20 +304,6 @@ let activation_literal_retires () =
   Solver.add_clause s [ -act ];
   check_bool "retired: instance sat again" true (is_sat (Solver.solve s))
 
-let solve_outcome_spends () =
-  let s = Solver.create 0 in
-  let vars = List.init 6 (fun _ -> Solver.new_var s) in
-  List.iter (fun v -> Solver.add_clause s [ v ]) vars;
-  let o1 = Solver.solve_outcome s in
-  check_bool "sat" true (is_sat o1.Solver.result);
-  let o2 = Solver.solve_outcome s in
-  check_bool "re-solve sat" true (is_sat o2.Solver.result);
-  (* spent carries per-call deltas, not lifetime totals: a repeat solve
-     of an already-satisfied instance spends no conflicts *)
-  Alcotest.(check int) "no conflicts re-spent" 0 o2.Solver.spent.Solver.conflicts;
-  check_bool "lifetime >= per-call" true
-    ((Solver.stats s).Solver.propagations >= o2.Solver.spent.Solver.propagations)
-
 let suite =
   [
     Alcotest.test_case "trivial sat" `Quick trivial_sat;
@@ -326,7 +319,6 @@ let suite =
     Alcotest.test_case "add_clause after solve" `Quick add_clause_after_solve;
     Alcotest.test_case "activation literal retires" `Quick
       activation_literal_retires;
-    Alcotest.test_case "solve_outcome spends" `Quick solve_outcome_spends;
     Alcotest.test_case "unit propagation chain" `Quick unit_propagation_chain;
     Alcotest.test_case "solver reusable across solves" `Quick
       solver_reusable_across_solves;
