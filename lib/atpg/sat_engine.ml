@@ -18,7 +18,6 @@ type target = { output : string; bit : int; polarity : bool }
 type outcome =
   | Test of int array list  (* input vectors, one per cycle *)
   | Unreachable  (* proven at every depth up to the bound *)
-  | Budget_exceeded
 
 let all_targets nl =
   List.concat_map
@@ -62,7 +61,7 @@ let cover_target ?(max_depth = 8) nl target =
       | Solver.Sat ->
           Test (List.init (k + 1) (fun i -> inputs_at solver u i nl))
       | Solver.Unsat -> at (k + 1)
-      | Solver.Unknown -> Budget_exceeded
+      | Solver.Unknown -> assert false (* no governor: the search completes *)
     end
   in
   at 0
@@ -70,14 +69,13 @@ let cover_target ?(max_depth = 8) nl target =
 type report = {
   covered : int;
   unreachable : int;
-  unresolved : int;
   tests : int array list list;  (* one input sequence per covered target *)
 }
 
 (* Chase every output-bit polarity of the netlist. *)
 let generate ?(max_depth = 8) nl =
   let targets = all_targets nl in
-  let covered = ref 0 and unreachable = ref 0 and unresolved = ref 0 in
+  let covered = ref 0 and unreachable = ref 0 in
   let tests = ref [] in
   List.iter
     (fun t ->
@@ -85,16 +83,13 @@ let generate ?(max_depth = 8) nl =
       | Test seq ->
           incr covered;
           tests := seq :: !tests
-      | Unreachable -> incr unreachable
-      | Budget_exceeded -> incr unresolved)
+      | Unreachable -> incr unreachable)
     targets;
   {
     covered = !covered;
     unreachable = !unreachable;
-    unresolved = !unresolved;
     tests = List.rev !tests;
   }
 
 let pp_report fmt r =
-  Fmt.pf fmt "covered %d, unreachable %d, unresolved %d" r.covered
-    r.unreachable r.unresolved
+  Fmt.pf fmt "covered %d, unreachable %d" r.covered r.unreachable

@@ -9,7 +9,6 @@ type target = { output : string; bit : int; polarity : bool }
 type outcome =
   | Test of int array list  (** input vectors, one per cycle *)
   | Unreachable  (** proven at every depth up to the bound *)
-  | Budget_exceeded
 
 val all_targets : Symbad_hdl.Netlist.t -> target list
 (** Both polarities of every output bit. *)
@@ -19,7 +18,6 @@ val cover_target : ?max_depth:int -> Symbad_hdl.Netlist.t -> target -> outcome
 type report = {
   covered : int;
   unreachable : int;
-  unresolved : int;
   tests : int array list list;  (** one input sequence per covered target *)
 }
 

@@ -1,9 +1,17 @@
 (** CDCL SAT solver.
 
-    MiniSat architecture: two-watched-literal propagation, first-UIP
-    learning, activity-based decisions with phase saving, Luby restarts.
-    Literals are non-zero ints: [v] is variable [v >= 1] positive, [-v]
-    its negation. *)
+    MiniSat architecture: two-watched-literal propagation over per-literal
+    watch stacks, first-UIP learning, activity-based decisions from a
+    binary heap with phase saving, Luby restarts.  Literals are non-zero
+    ints: [v] is variable [v >= 1] positive, [-v] its negation.
+
+    {b The search is deterministic and fixed.}  Ties in activity go to
+    the lower variable index, and watches are visited most recent first;
+    so a given sequence of calls makes the same decisions, propagations,
+    learned clauses and restarts (and hence the same {!val-stats}) on
+    every run and every host.  Verdicts, traces, governed [Unknown]
+    answers and the committed bench baselines all depend on this; the
+    data structures may change only if the search does not. *)
 
 type t
 

@@ -38,7 +38,7 @@ let model_satisfies () =
   check_bool "model checks out" true
     (List.for_all (List.exists value) clauses)
 
-let pigeonhole n m =
+let pigeonhole_solver n m =
   (* n pigeons into m holes *)
   let var p h = ((p - 1) * m) + h in
   let s = Solver.create (n * m) in
@@ -52,7 +52,9 @@ let pigeonhole n m =
       done
     done
   done;
-  Solver.solve s
+  s
+
+let pigeonhole n m = Solver.solve (pigeonhole_solver n m)
 
 let pigeonhole_unsat () = check_bool "php(6,5)" true (is_unsat (pigeonhole 6 5))
 let pigeonhole_sat () = check_bool "php(5,5)" true (is_sat (pigeonhole 5 5))
@@ -123,6 +125,81 @@ let solver_reusable_across_solves () =
   check_bool "x2 forced" true (Solver.model_value s 2);
   Solver.add_clause s [ -2 ];
   check_bool "third" true (is_unsat (Solver.solve s))
+
+(* --- pinned search: the exact effort of fixed instances ---
+
+   The decision order, propagation order and learned clauses are part of
+   the solver's contract: every committed verdict, trace and bench
+   baseline was produced by this search.  These counts pin it, so a
+   change to the solver's data structures that alters the search in any
+   way (a different tie-break, a different watch order) fails here. *)
+
+let stats_row (st : Solver.stats) =
+  [ st.conflicts; st.decisions; st.propagations; st.learned; st.restarts ]
+
+let check_stats name expected st =
+  Alcotest.(check (list int))
+    (name ^ " conflicts/decisions/propagations/learned/restarts")
+    expected (stats_row st)
+
+let pinned_pigeonhole () =
+  List.iter
+    (fun (n, m, expected) ->
+      let s = pigeonhole_solver n m in
+      check_bool "unsat" true (is_unsat (Solver.solve s));
+      check_stats (Printf.sprintf "php(%d,%d)" n m) expected (Solver.stats s))
+    [
+      (6, 5, [ 155; 208; 1775; 154; 1 ]);
+      (7, 6, [ 819; 1009; 10963; 818; 6 ]);
+      (* crosses the 1e100 activity rescale (about 4.5 k conflicts) *)
+      (8, 7, [ 6160; 7426; 86239; 6159; 29 ]);
+    ]
+
+(* A small linear congruential generator, so the instance does not
+   depend on the standard library's [Random] algorithm. *)
+let lcg seed =
+  let state = ref seed in
+  fun bound ->
+    state := ((!state * 1103515245) + 12345) land 0x7fffffff;
+    (!state lsr 8) mod bound
+
+let random_3sat next nvars nclauses =
+  List.init nclauses (fun _ ->
+      List.init 3 (fun _ ->
+          let v = 1 + next nvars in
+          if next 2 = 0 then v else -v))
+
+let pinned_incremental () =
+  (* 20 solves under two assumed literals; every fifth round first grows
+     the session by 5 variables and 10 clauses, as Mc.Session does when
+     it unrolls a frame *)
+  let next = lcg 2004 in
+  let s = Solver.create 100 in
+  List.iter (Solver.add_clause s) (random_3sat next 100 400);
+  let answers = Buffer.create 32 in
+  for round = 1 to 20 do
+    if round mod 5 = 0 then begin
+      for _ = 1 to 5 do
+        ignore (Solver.new_var s)
+      done;
+      List.iter (Solver.add_clause s) (random_3sat next (Solver.nvars s) 10)
+    end;
+    let lit () =
+      let v = 1 + next (Solver.nvars s) in
+      if next 2 = 0 then v else -v
+    in
+    let a = lit () in
+    let b = lit () in
+    Buffer.add_char answers
+      (match Solver.solve ~assumptions:[ a; b ] s with
+      | Solver.Sat -> 's'
+      | Solver.Unsat -> 'u'
+      | Solver.Unknown -> '?')
+  done;
+  Alcotest.(check string) "answers" "ssssusuuussuusssusus"
+    (Buffer.contents answers);
+  check_stats "random 3-sat, 20 assumption solves" [ 801; 1140; 20228; 793; 1 ]
+    (Solver.stats s)
 
 (* --- Tseitin --- *)
 
@@ -274,6 +351,88 @@ let qcheck_vs_brute_force =
       | Solver.Unsat -> not (brute_force nvars clauses)
       | Solver.Unknown -> false)
 
+(* --- qcheck: incremental sessions vs brute force ---
+
+   Random interleavings of [new_var], [add_clause] and
+   [solve ~assumptions] on one solver: exercises backtracking into a
+   finished search, variables added mid-session and clauses watched
+   after earlier solves.  Every answer is checked against brute force
+   over the clauses so far plus the assumptions as units. *)
+
+type op = New_var | Add of int list | Solve of int list
+
+let gen_session =
+  QCheck.Gen.(
+    let* nvars0 = 1 -- 6 in
+    let* nops = 1 -- 30 in
+    let rec ops nvars k =
+      if k = 0 then return []
+      else
+        let gen_lit =
+          let* v = 1 -- nvars in
+          let* sign = bool in
+          return (if sign then v else -v)
+        in
+        let* pick = 0 -- 9 in
+        let* op =
+          if pick = 0 && nvars < 10 then return New_var
+          else if pick <= 5 then
+            let* k = 1 -- 3 in
+            map (fun c -> Add c) (list_repeat k gen_lit)
+          else
+            let* k = 0 -- 3 in
+            map (fun a -> Solve a) (list_repeat k gen_lit)
+        in
+        let nvars = if op = New_var then nvars + 1 else nvars in
+        let* rest = ops nvars (k - 1) in
+        return (op :: rest)
+    in
+    let* ops = ops nvars0 nops in
+    return (nvars0, ops))
+
+let print_session (nvars0, ops) =
+  let lits l = String.concat " " (List.map string_of_int l) in
+  Printf.sprintf "create %d; %s" nvars0
+    (String.concat "; "
+       (List.map
+          (function
+            | New_var -> "new_var"
+            | Add c -> "add [" ^ lits c ^ "]"
+            | Solve a -> "solve [" ^ lits a ^ "]")
+          ops))
+
+let qcheck_incremental_vs_brute_force =
+  QCheck.Test.make ~name:"incremental sessions agree with brute force"
+    ~count:300
+    (QCheck.make ~print:print_session gen_session)
+    (fun (nvars0, ops) ->
+      let s = Solver.create nvars0 in
+      let clauses = ref [] in
+      List.for_all
+        (function
+          | New_var ->
+              ignore (Solver.new_var s);
+              true
+          | Add c ->
+              Solver.add_clause s c;
+              clauses := c :: !clauses;
+              true
+          | Solve assumptions -> (
+              let units = List.map (fun a -> [ a ]) assumptions in
+              let all = units @ !clauses in
+              let expected = brute_force (Solver.nvars s) all in
+              match Solver.solve ~assumptions s with
+              | Solver.Sat ->
+                  expected
+                  && List.for_all
+                       (List.exists (fun l ->
+                            if l > 0 then Solver.model_value s l
+                            else not (Solver.model_value s (-l))))
+                       all
+              | Solver.Unsat -> not expected
+              | Solver.Unknown -> false))
+        ops)
+
 (* --- incremental use (solve / add_clause / solve) --- *)
 
 let add_clause_after_solve () =
@@ -329,5 +488,9 @@ let suite =
       tseitin_constant_folding;
     Alcotest.test_case "dimacs roundtrip" `Quick dimacs_roundtrip;
     Alcotest.test_case "dimacs comments" `Quick dimacs_parse_comments;
+    Alcotest.test_case "pinned search: pigeonhole" `Quick pinned_pigeonhole;
+    Alcotest.test_case "pinned search: incremental 3-sat" `Quick
+      pinned_incremental;
     QCheck_alcotest.to_alcotest qcheck_vs_brute_force;
+    QCheck_alcotest.to_alcotest qcheck_incremental_vs_brute_force;
   ]
