@@ -6,7 +6,11 @@
    Usage:  dune exec bench/main.exe            (everything)
            dune exec bench/main.exe -- tables  (only the tables)
            dune exec bench/main.exe -- micro   (only the micro-benches)
-           dune exec bench/main.exe -- guard   (telemetry smoke guard) *)
+           dune exec bench/main.exe -- guard   (telemetry smoke guard)
+           dune exec bench/main.exe -- lint [FILE]
+                   (record one BENCH_*.json baseline; the record modes are
+                    par_speedup, inc, gov_deadline, resil, tmr and lint,
+                    all defined in lib/baseline/baseline.ml) *)
 
 open Symbad_core
 module Sim = Symbad_sim
@@ -235,34 +239,6 @@ let e7_symbc () =
 (* ---------------------------------------------------------------- *)
 (* E8: model checking + property coverage.                           *)
 
-(* The FIFO-controller property plans of the E8 refinement story; the
-   refined plan is also the PCC load of the parallel-speedup bench. *)
-let fifo_property_plans fifo =
-  let module E = Symbad_hdl.Expr in
-  let module P = Symbad_mc.Prop in
-  let weak =
-    [ P.make ~name:"not_full_and_empty"
-        (E.not_ (E.and_ (P.output fifo "full") (P.output fifo "empty"))) ]
-  in
-  let push_ok = E.and_ (E.input "push") (E.not_ (P.output fifo "full")) in
-  let pop_ok = E.and_ (E.input "pop") (E.not_ (P.output fifo "empty")) in
-  let delta = E.sub (P.next (E.reg "count")) (E.reg "count") in
-  let strong =
-    weak
-    @ [
-        P.make ~name:"count_le_depth" (E.ule (E.reg "count") (E.const ~width:3 4));
-        P.make_step ~name:"push_increments"
-          (P.implies (E.and_ push_ok (E.not_ pop_ok))
-             (E.eq delta (E.const ~width:3 1)));
-        P.make_step ~name:"pop_decrements"
-          (P.implies (E.and_ pop_ok (E.not_ push_ok))
-             (E.eq delta (E.const ~width:3 7)));
-        P.make_step ~name:"idle_holds"
-          (P.implies (E.eq push_ok pop_ok) (E.eq delta (E.const ~width:3 0)));
-      ]
-  in
-  (weak, strong)
-
 let e8_mc_pcc () =
   section "E8" "model checking and PCC completeness (level 4)";
   let l4, secs = host_time (fun () -> Level4.run ()) in
@@ -270,7 +246,7 @@ let e8_mc_pcc () =
   Format.printf "level-4 host time: %.1fs@." secs;
   (* the PCC refinement story: initial (weak) plan vs refined plan *)
   let fifo = Symbad_hdl.Rtl_lib.fifo_ctrl ~addr_width:2 () in
-  let weak, strong = fifo_property_plans fifo in
+  let weak, strong = Level4.fifo_property_plans fifo in
   Format.printf "PCC refinement loop on the FIFO controller:@.";
   List.iter
     (fun (label, props) ->
@@ -377,236 +353,6 @@ let a2_static_vs_reconfig () =
        ~max_hw:6 graph)
 
 (* ---------------------------------------------------------------- *)
-(* PAR: the parallel verification-job engine — wall-clock speedup of  *)
-(* the fan-outs at jobs=4 over jobs=1, with the results cross-checked *)
-(* for identity.  `dune exec bench/main.exe -- par_speedup [FILE]`    *)
-(* also writes the figures as JSON (the committed BENCH_par.json      *)
-(* baseline).                                                         *)
-
-let par_speedup out =
-  let module Par = Symbad_par.Par in
-  let module Json = Symbad_obs.Json in
-  section "PAR" "parallel verification speedup (wall clock, jobs=1 vs jobs=4)";
-  (* Sys.time is CPU time summed over all domains; speedup needs wall
-     clock. *)
-  let wall_time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let measure name run =
-    let seq, t1 = wall_time (fun () -> Par.with_pool ~jobs:1 run) in
-    let par, t4 = wall_time (fun () -> Par.with_pool ~jobs:4 run) in
-    let identical = seq = par in
-    let speedup = t1 /. t4 in
-    Format.printf "%-28s jobs=1 %7.2fs   jobs=4 %7.2fs   speedup %.2fx   %s@."
-      name t1 t4 speedup
-      (if identical then "identical results" else "RESULTS DIFFER");
-    ( name,
-      Json.Obj
-        [
-          ("seconds_jobs1", Json.Float t1);
-          ("seconds_jobs4", Json.Float t4);
-          ("speedup", Json.Float speedup);
-          ("identical", Json.Bool identical);
-        ] )
-  in
-  let cores = Domain.recommended_domain_count () in
-  Format.printf "host cores: %d%s@." cores
-    (if cores < 4 then
-       " (jobs=4 oversubscribes; expect overhead, not speedup — the \
-        identity check is the meaningful result here)"
-     else "");
-  let fifo = Symbad_hdl.Rtl_lib.fifo_ctrl ~addr_width:2 () in
-  let _, strong = fifo_property_plans fifo in
-  let rows =
-    [
-      (* one SAT job per fault: the flagship fan-out *)
-      measure "pcc_fifo_refined_plan" (fun pool ->
-          Symbad_pcc.Pcc.run ~pool ~depth:8 fifo strong);
-      (* the whole level-4 portfolio: MC windows + per-module PCC *)
-      measure "level4_rtl_verification" (fun pool -> Level4.run ~pool ());
-      (* the architecture-exploration sweep *)
-      measure "explore_hw_set_sweep" (fun pool ->
-          Explore.sweep_hw_sets ~pool ~task_area:Level3.default_task_area
-            ~profile ~pinned_sw:Face_app.pinned_sw ~max_hw:6 graph);
-    ]
-  in
-  let json =
-    Json.to_string (Json.Obj (("host_cores", Json.Int cores) :: rows))
-  in
-  match out with
-  | Some path ->
-      let oc = open_out path in
-      output_string oc json;
-      output_string oc "\n";
-      close_out oc;
-      Format.printf "baseline written to %s@." path
-  | None -> Format.printf "%s@." json
-
-(* ---------------------------------------------------------------- *)
-(* INC: incremental sessions + the content-addressed verdict cache —  *)
-(* what a warm cache buys on the level-4 portfolio.                   *)
-(* `dune exec bench/main.exe -- inc [FILE]` writes the figures as     *)
-(* JSON (the committed BENCH_inc.json baseline; host seconds are      *)
-(* informative, the all_cached/identical flags are the checked part). *)
-
-let rec rm_rf path =
-  if Sys.file_exists path then
-    if Sys.is_directory path then (
-      Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
-      Sys.rmdir path)
-    else Sys.remove path
-
-let inc out =
-  let module Json = Symbad_obs.Json in
-  let module Cache = Symbad_cache.Cache in
-  section "INC" "incremental verification: cold vs warm verdict cache (level 4)";
-  let wall f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "symbad_bench_inc_%d" (Unix.getpid ()))
-  in
-  rm_rf dir;
-  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
-  let cache = Cache.create ~dir () in
-  let cold, cold_s = wall (fun () -> Level4.run ~cache ()) in
-  let warm, warm_s = wall (fun () -> Level4.run ~cache ()) in
-  (* warm must reproduce the cold verdicts exactly, modulo the cached
-     marker and host timing *)
-  let norm (r : Level4.result) =
-    List.map
-      (fun m ->
-        ( m.Level4.module_name,
-          List.map
-            (fun v -> { v with Verdict.cached = false; Verdict.host_seconds = 0. })
-            (Level4.module_verdicts m) ))
-      r.Level4.modules
-  in
-  let identical = norm cold = norm warm in
-  let all_cached = Level4.all_cached warm in
-  Format.printf
-    "level4 cold %7.2fs (%d stored)   warm %7.2fs (%d hits)   speedup %.0fx   \
-     %s%s@."
-    cold_s (Cache.stores cache) warm_s (Cache.hits cache)
-    (cold_s /. Float.max warm_s 1e-9)
-    (if all_cached then "all cached" else "NOT ALL CACHED")
-    (if identical then ", identical verdicts" else ", VERDICTS DIFFER");
-  let json =
-    Json.to_string
-      (Json.Obj
-         [
-           ( "level4_cold",
-             Json.Obj
-               [
-                 ("seconds", Json.Float cold_s);
-                 ("stores", Json.Int (Cache.stores cache));
-               ] );
-           ( "level4_warm",
-             Json.Obj
-               [
-                 ("seconds", Json.Float warm_s);
-                 ("hits", Json.Int (Cache.hits cache));
-                 ("all_cached", Json.Bool all_cached);
-                 ("identical", Json.Bool identical);
-               ] );
-           ("speedup_warm", Json.Float (cold_s /. Float.max warm_s 1e-9));
-         ])
-  in
-  match out with
-  | Some path ->
-      let oc = open_out path in
-      output_string oc json;
-      output_string oc "\n";
-      close_out oc;
-      Format.printf "baseline written to %s@." path
-  | None -> Format.printf "%s@." json
-
-(* ---------------------------------------------------------------- *)
-(* GOV: resource-governed verification — what a deadline buys.        *)
-(* Sweeps the flow under shrinking budgets and reports how run time   *)
-(* and verdict mix degrade.  `dune exec bench/main.exe -- gov_deadline *)
-(* [FILE]` also writes the figures as JSON (the committed             *)
-(* BENCH_gov.json baseline).                                          *)
-
-let gov_deadline out =
-  let module Json = Symbad_obs.Json in
-  let module Budget = Symbad_gov.Budget in
-  section "GOV" "graceful degradation under deadline / budget pressure";
-  let w = Face_app.smoke_workload in
-  let wall_time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let verdict_mix report =
-    List.fold_left
-      (fun (p, f, i) l ->
-        List.fold_left
-          (fun (p, f, i) v ->
-            match v.Verdict.outcome with
-            | Verdict.Inconclusive _ -> (p, f, i + 1)
-            | _ when v.Verdict.passed -> (p + 1, f, i)
-            | _ -> (p, f + 1, i))
-          (p, f, i) l.Flow.verifications)
-      (0, 0, 0) report.Flow.levels
-  in
-  let measure label budget_of =
-    (* budgets are built lazily: Budget.make anchors ~deadline_s to an
-       absolute instant, so a deadline budget must be created just
-       before its run, not when the sweep list is declared *)
-    let budget = budget_of () in
-    let report, secs = wall_time (fun () -> Flow.run ~workload:w ?budget ()) in
-    let passed, failed, inconclusive = verdict_mix report in
-    Format.printf "%-26s %8.2fs   passed %2d   failed %2d   inconclusive %2d@."
-      label secs passed failed inconclusive;
-    ( label,
-      Json.Obj
-        [
-          ("seconds", Json.Float secs);
-          ("passed", Json.Int passed);
-          ("failed", Json.Int failed);
-          ("inconclusive", Json.Int inconclusive);
-        ] )
-  in
-  Format.printf "%-26s %9s   %s@." "budget" "wall" "verdicts";
-  let logical n () = Some (Budget.make ~conflicts:n ~patterns:n ()) in
-  let deadline s () = Some (Budget.make ~deadline_s:s ()) in
-  let sweep =
-    [
-      ("unlimited", fun () -> None);
-      (* logical allowances: deterministic degradation points *)
-      ("conflicts+patterns 100k", logical 100_000);
-      ("conflicts+patterns 10k", logical 10_000);
-      ("conflicts+patterns 1k", logical 1_000);
-      ("conflicts+patterns 0", logical 0);
-      (* wall-clock deadlines: best-effort, the headline knob *)
-      ("deadline 5s", deadline 5.0);
-      ("deadline 0.5s", deadline 0.5);
-      ("deadline 0s (instant)", deadline 0.0);
-    ]
-  in
-  let rows = List.map (fun (label, budget_of) -> measure label budget_of) sweep in
-  Format.printf
-    "shape: shrinking budget trades verdicts for time — checks degrade to \
-     inconclusive@.partial results instead of running long; the zero-budget \
-     row is the floor cost of@.the flow itself.@.";
-  let json = Json.to_string (Json.Obj rows) in
-  match out with
-  | Some path ->
-      let oc = open_out path in
-      output_string oc json;
-      output_string oc "\n";
-      close_out oc;
-      Format.printf "baseline written to %s@." path
-  | None -> Format.printf "%s@." json
-
-(* ---------------------------------------------------------------- *)
 (* Gov guard: every engine must degrade instantly — never raise,      *)
 (* never run long — when handed an already-exhausted governor.  CI    *)
 (* runs this via the @gov-guard alias.                                *)
@@ -632,7 +378,7 @@ let gov_guard () =
     if verdict <> "ok" then failures := what :: !failures
   in
   let fifo = Symbad_hdl.Rtl_lib.fifo_ctrl ~addr_width:2 () in
-  let _, strong = fifo_property_plans fifo in
+  let _, strong = Level4.fifo_property_plans fifo in
   let prop = List.hd strong in
   check "sat: solve" ~max_s:1.0 (fun () ->
       let s = Symbad_sat.Solver.create 2 in
@@ -923,200 +669,6 @@ let guard () =
       exit 1
 
 (* ---------------------------------------------------------------- *)
-(* RESIL: the dependability campaign — per-fault-kind detection and   *)
-(* recovery rates on the smoke workload.                              *)
-(* `dune exec bench/main.exe -- resil [FILE]` also writes the report  *)
-(* as JSON (the committed BENCH_resil.json baseline; simulated-time   *)
-(* figures only, so it is byte-stable across hosts and --jobs).       *)
-
-let resil out =
-  let module Campaign = Symbad_resil.Campaign in
-  let module Json = Symbad_obs.Json in
-  section "RESIL" "fault-injection campaign (smoke workload, seed 1)";
-  let report =
-    Symbad_par.Par.with_pool (fun pool -> Campaign.run ~pool ~seed:1 ())
-  in
-  Format.printf "%-16s %6s %8s %8s %9s %7s@." "kind" "trials" "injected"
-    "detected" "recovered" "correct";
-  List.iter
-    (fun row ->
-      Format.printf "%-16s %6d %8d %8d %9d %7d@." row.Campaign.row_kind
-        row.Campaign.row_trials row.Campaign.row_injected
-        row.Campaign.row_detected row.Campaign.row_recovered
-        row.Campaign.row_correct)
-    report.Campaign.per_kind;
-  Format.printf "campaign %s (%d trials, %d skipped)@."
-    (if report.Campaign.passed then "PASSED" else "FAILED")
-    (List.length report.Campaign.outcomes)
-    report.Campaign.skipped;
-  let json = Json.to_string (Campaign.to_json report) in
-  (match out with
-  | Some path ->
-      let oc = open_out path in
-      output_string oc json;
-      output_string oc "\n";
-      close_out oc;
-      Format.printf "baseline written to %s@." path
-  | None -> Format.printf "%s@." json);
-  if not report.Campaign.passed then exit 1
-
-(* ---------------------------------------------------------------- *)
-(* TMR: masked-fault mode vs scrubbing-only — the same campaign run   *)
-(* in both operating modes, compared on fault-survival, masked        *)
-(* trials, recovery-latency histogram and fabric area.                *)
-(* `dune exec bench/main.exe -- tmr [FILE]` also writes the two       *)
-(* reports plus the comparison as JSON (the committed BENCH_tmr.json  *)
-(* baseline; the reports are simulated-time-only and byte-stable, the *)
-(* `seconds` fields carry host wall times for the tolerance gate).    *)
-
-let tmr_bench out =
-  let module Campaign = Symbad_resil.Campaign in
-  let module Json = Symbad_obs.Json in
-  section "TMR" "masked (TMR + bus ECC) vs scrubbing-only, seed 1";
-  let timed mode =
-    let t0 = Unix.gettimeofday () in
-    let r =
-      Symbad_par.Par.with_pool (fun pool -> Campaign.run ~pool ~mode ~seed:1 ())
-    in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let scrub, scrub_s = timed Campaign.Scrub in
-  let tmr, tmr_s = timed Campaign.Tmr in
-  print_string (Campaign.compare_modes_markdown ~scrub ~tmr);
-  Format.printf "scrub %s in %.2fs, tmr %s in %.2fs@."
-    (if scrub.Campaign.passed then "PASSED" else "FAILED")
-    scrub_s
-    (if tmr.Campaign.passed then "PASSED" else "FAILED")
-    tmr_s;
-  let json =
-    Json.to_string
-      (Json.Obj
-         [
-           ( "scrub",
-             Json.Obj
-               [
-                 ("report", Campaign.to_json scrub);
-                 ("seconds", Json.Float scrub_s);
-               ] );
-           ( "tmr",
-             Json.Obj
-               [
-                 ("report", Campaign.to_json tmr);
-                 ("seconds", Json.Float tmr_s);
-               ] );
-           ("comparison", Campaign.compare_modes ~scrub ~tmr);
-         ])
-  in
-  (match out with
-  | Some path ->
-      let oc = open_out path in
-      output_string oc json;
-      output_string oc "\n";
-      close_out oc;
-      Format.printf "baseline written to %s@." path
-  | None -> Format.printf "%s@." json);
-  if not (scrub.Campaign.passed && tmr.Campaign.passed) then exit 1
-
-(* ---------------------------------------------------------------- *)
-(* LINT: the static-analysis pass — per-target diagnostic counts      *)
-(* over the repo corpus plus rule throughput on the largest           *)
-(* synthesised netlist.  `dune exec bench/main.exe -- lint [FILE]`    *)
-(* also writes the figures as JSON (the committed BENCH_lint.json     *)
-(* baseline; the per-target counts are deterministic, the throughput  *)
-(* row carries host timings).                                         *)
-
-let prop_pairs props =
-  List.map (fun p -> (Symbad_mc.Prop.name p, Symbad_mc.Prop.formula p)) props
-
-let lint_bench out =
-  let module Lint = Symbad_lint.Lint in
-  let module Json = Symbad_obs.Json in
-  section "LINT" "static-analysis corpus counts and rule throughput";
-  let wall_time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let l3 = Level3.run graph mapping3 in
-  let row (r : Lint.report) =
-    Format.printf "%-24s %d rules, %d errors, %d warnings@." r.Lint.target
-      (List.length r.Lint.rules_run)
-      (Lint.errors r) (Lint.warnings r);
-    ( r.Lint.target,
-      Json.Obj
-        [
-          ("rules", Json.Int (List.length r.Lint.rules_run));
-          ("errors", Json.Int (Lint.errors r));
-          ("warnings", Json.Int (Lint.warnings r));
-        ] )
-  in
-  let targets =
-    List.map
-      (fun (m : Level4.rtl_module) ->
-        row
-          (Lint.run_netlist
-             ~properties:(prop_pairs m.Level4.properties)
-             m.Level4.netlist))
-      (Level4.modules ())
-    @ [
-        (let nl = Symbad_resil.Recovery.netlist () in
-         row
-           (Lint.run_netlist
-              ~properties:(prop_pairs (Symbad_resil.Recovery.properties nl))
-              nl));
-        row
-          (Lint.run_program ~name:"instrumented software"
-             l3.Level3.config_info l3.Level3.instrumented_sw);
-        row (Lint.run_netlist Symbad_lint.Seeded.demo);
-      ]
-  in
-  (* throughput: all seven netlist rules over the largest synthesised
-     netlist in the repo, repeated for a stable figure *)
-  let spec = Wrapper_gen.make_spec ~data_width:32 ~depth:2 () in
-  let nl = Wrapper_gen.synthesize spec in
-  let props = prop_pairs (Wrapper_gen.checkers spec nl) in
-  let repeats = 50 in
-  let (), secs =
-    wall_time (fun () ->
-        for _ = 1 to repeats do
-          ignore (Lint.run_netlist ~properties:props nl)
-        done)
-  in
-  let rules = List.length Lint.netlist_rule_ids * repeats in
-  let per_sec = float_of_int rules /. secs in
-  Format.printf
-    "throughput: %d rule runs over %s (%d registers) in %.2fs = %.0f rules/s@."
-    rules
-    (Symbad_hdl.Netlist.name nl)
-    (List.length (Symbad_hdl.Netlist.registers nl))
-    secs per_sec;
-  let json =
-    Json.to_string
-      (Json.Obj
-         [
-           ("targets", Json.Obj targets);
-           ( "throughput",
-             Json.Obj
-               [
-                 ("netlist", Json.Str (Symbad_hdl.Netlist.name nl));
-                 ( "registers",
-                   Json.Int (List.length (Symbad_hdl.Netlist.registers nl)) );
-                 ("rule_runs", Json.Int rules);
-                 ("seconds", Json.Float secs);
-                 ("rules_per_second", Json.Float per_sec);
-               ] );
-         ])
-  in
-  match out with
-  | Some path ->
-      let oc = open_out path in
-      output_string oc json;
-      output_string oc "\n";
-      close_out oc;
-      Format.printf "baseline written to %s@." path
-  | None -> Format.printf "%s@." json
-
-(* ---------------------------------------------------------------- *)
 (* Lint guard: the shipped corpus must stay diagnostic-free.  CI      *)
 (* runs this via the @lint-guard alias: the recovery controller, one  *)
 (* synthesised wrapper and the face-app reconfiguration program are   *)
@@ -1137,13 +689,15 @@ let lint_guard () =
      the same documented suppression the lint test suite carries *)
   check
     (Lint.run_netlist ~suppress:[ "net.range" ]
-       ~properties:(prop_pairs (Symbad_resil.Recovery.properties recovery))
+       ~properties:
+         (Symbad_mc.Prop.pairs (Symbad_resil.Recovery.properties recovery))
        recovery);
   let spec = Wrapper_gen.make_spec ~data_width:8 ~depth:2 () in
   let wrapper = Wrapper_gen.synthesize spec in
   check
     (Lint.run_netlist
-       ~properties:(prop_pairs (Wrapper_gen.checkers spec wrapper))
+       ~properties:
+         (Symbad_mc.Prop.pairs (Wrapper_gen.checkers spec wrapper))
        wrapper);
   let l3 = Level3.run graph mapping3 in
   check
@@ -1350,24 +904,20 @@ let () =
   | "tables" -> tables ()
   | "micro" -> micro_benchmarks ()
   | "guard" -> guard ()
-  | "par_speedup" ->
-      par_speedup (if Array.length Sys.argv > 2 then Some Sys.argv.(2) else None)
-  | "inc" ->
-      inc (if Array.length Sys.argv > 2 then Some Sys.argv.(2) else None)
-  | "gov_deadline" ->
-      gov_deadline (if Array.length Sys.argv > 2 then Some Sys.argv.(2) else None)
   | "gov_guard" -> gov_guard ()
-  | "resil" ->
-      resil (if Array.length Sys.argv > 2 then Some Sys.argv.(2) else None)
   | "fault_guard" -> fault_guard ()
-  | "tmr" ->
-      tmr_bench (if Array.length Sys.argv > 2 then Some Sys.argv.(2) else None)
   | "tmr_guard" -> tmr_guard ()
-  | "lint" ->
-      lint_bench (if Array.length Sys.argv > 2 then Some Sys.argv.(2) else None)
   | "lint_guard" -> lint_guard ()
   | "absint_guard" -> absint_guard ()
-  | _ ->
-      tables ();
-      micro_benchmarks ());
+  | mode -> (
+      (* a record mode: regenerate one committed BENCH_*.json *)
+      match Symbad_baseline.Baseline.of_mode mode with
+      | Some b ->
+          let out =
+            if Array.length Sys.argv > 2 then Some Sys.argv.(2) else None
+          in
+          if not (Symbad_baseline.Baseline.record ?out b) then exit 1
+      | None ->
+          tables ();
+          micro_benchmarks ()));
   Format.printf "@.done.@."

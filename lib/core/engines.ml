@@ -36,14 +36,11 @@ let timed f =
   let v = f () in
   (v, Sys.time () -. t0)
 
-let prop_pairs props =
-  List.map (fun p -> (Mc.Prop.name p, Mc.Prop.formula p)) props
-
 (* --- the static engine ------------------------------------------------ *)
 
 let lint ?gov ?pool ?jobs ?(escalate = false) ~seed:_ (m : Level4.rtl_module) =
   with_jobs ?pool ?jobs @@ fun pool ->
-  let props = prop_pairs m.Level4.properties in
+  let props = Mc.Prop.pairs m.Level4.properties in
   let report, host_seconds =
     timed (fun () ->
         let r = Lint.run_netlist ~pool ?gov ~properties:props m.Level4.netlist in

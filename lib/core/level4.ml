@@ -161,6 +161,35 @@ let argmin_properties () =
                (Expr.eq (Prop.next count) count))));
   ]
 
+(* The FIFO-controller property plans of the E8 refinement story: the
+   weak initial plan and the refined one PCC drove it to. *)
+let fifo_property_plans fifo =
+  let full = Prop.output fifo "full" and empty = Prop.output fifo "empty" in
+  let weak =
+    [
+      Prop.make ~name:"not_full_and_empty"
+        (Expr.not_ (Expr.and_ full empty));
+    ]
+  in
+  let push_ok = Expr.and_ (Expr.input "push") (Expr.not_ full) in
+  let pop_ok = Expr.and_ (Expr.input "pop") (Expr.not_ empty) in
+  let delta = Expr.sub (Prop.next (Expr.reg "count")) (Expr.reg "count") in
+  let moves_by n = Expr.eq delta (Expr.const ~width:3 n) in
+  let strong =
+    weak
+    @ [
+        Prop.make ~name:"count_le_depth"
+          (Expr.ule (Expr.reg "count") (Expr.const ~width:3 4));
+        Prop.make_step ~name:"push_increments"
+          (Prop.implies (Expr.and_ push_ok (Expr.not_ pop_ok)) (moves_by 1));
+        Prop.make_step ~name:"pop_decrements"
+          (Prop.implies (Expr.and_ pop_ok (Expr.not_ push_ok)) (moves_by 7));
+        Prop.make_step ~name:"idle_holds"
+          (Prop.implies (Expr.eq push_ok pop_ok) (moves_by 0));
+      ]
+  in
+  (weak, strong)
+
 (* The case-study RTL modules with their verification plans.  The
    fourth entry exercises the automated-interface-synthesis option: a
    two-slot skid-buffer wrapper synthesised from its specification, with
@@ -333,11 +362,9 @@ let verify_module_live ?pool ~gov ~escalate ~max_depth ~pcc_depth ~max_reg_bits
      disproves never reaches the SAT engines.  Only errors gate —
      warnings and governor-skipped rules let verification proceed. *)
   let lint_gov = Symbad_gov.Gov.slice ~label:"lint" ~fraction:0.1 gov in
-  let prop_pairs =
-    List.map (fun p -> (Prop.name p, Prop.formula p)) m.properties
-  in
+  let properties = Prop.pairs m.properties in
   let lint =
-    Symbad_lint.Lint.run_netlist ?pool ~gov:lint_gov ~properties:prop_pairs
+    Symbad_lint.Lint.run_netlist ?pool ~gov:lint_gov ~properties
       m.netlist
   in
   (* escalation runs before the gate so a disproved warning (promoted
@@ -346,7 +373,7 @@ let verify_module_live ?pool ~gov ~escalate ~max_depth ~pcc_depth ~max_reg_bits
     if escalate && Symbad_lint.Lint.errors lint = 0 then
       Symbad_lint.Lint.escalate ?pool
         ~gov:(Symbad_gov.Gov.slice ~label:"lint.escalate" ~fraction:0.1 gov)
-        ~max_depth ~properties:prop_pairs m.netlist lint
+        ~max_depth ~properties m.netlist lint
     else lint
   in
   if Symbad_lint.Lint.errors lint > 0 then

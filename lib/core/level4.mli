@@ -15,6 +15,13 @@ val root_properties : unit -> Symbad_mc.Prop.t list
 val wrapper_properties : Symbad_hdl.Netlist.t -> Symbad_mc.Prop.t list
 val argmin_properties : unit -> Symbad_mc.Prop.t list
 
+val fifo_property_plans :
+  Symbad_hdl.Netlist.t -> Symbad_mc.Prop.t list * Symbad_mc.Prop.t list
+(** The E8 refinement story on {!Symbad_hdl.Rtl_lib.fifo_ctrl}
+    ([~addr_width:2]): the weak initial plan and the refined plan PCC
+    drove it to.  The refined plan is also the PCC load of the
+    parallel-speedup baseline. *)
+
 val modules : unit -> rtl_module list
 (** DISTANCE, ROOT, the hand-written wrapper, the streaming ARGMIN and
     the synthesised IFGEN wrapper, each with its verification plan. *)

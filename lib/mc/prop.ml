@@ -16,6 +16,7 @@ let make_step ~name formula = { name; formula; step = true }
 let name p = p.name
 let formula p = p.formula
 let is_step p = p.step
+let pairs ps = List.map (fun p -> (p.name, p.formula)) ps
 
 let is_primed n = String.length n > 0 && n.[String.length n - 1] = '\''
 let strip_prime n =

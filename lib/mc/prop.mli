@@ -22,6 +22,10 @@ val name : t -> string
 val formula : t -> Expr.t
 val is_step : t -> bool
 
+val pairs : t list -> (string * Expr.t) list
+(** [(name, formula)] of each property: the shape lint reads property
+    cones from. *)
+
 val next : Expr.t -> Expr.t
 (** Rewrite every register reference to its primed version, so step
     properties read [implies guard (eq (next e) rhs)]. *)

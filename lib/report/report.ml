@@ -66,32 +66,34 @@ type t = {
 
 (* --- assembly --------------------------------------------------------- *)
 
-let prop_pairs props =
-  List.map (fun p -> (Symbad_mc.Prop.name p, Symbad_mc.Prop.formula p)) props
-
 (* The lintable corpus: the level-4 RTL modules and the recovery
    controller, each with its properties (property cones keep
    verification-only registers live, so lint agrees with the engines).
-   The instrumented reconfiguration software is not re-linted here: the
+   The instrumented reconfiguration software is not part of it: the
    flow's own level-3 verification already covers the program, and
    re-deriving it would mean running levels 1-3 a second time. *)
-let lint_corpus ?pool ~gov ?(escalate = false) () =
+let lint_corpus ?pool ?gov ?rules ?(escalate = false) ?only () =
   let run nl properties =
-    let properties = prop_pairs properties in
-    let r = Lint.run_netlist ?pool ~gov ~properties nl in
-    if escalate then Lint.escalate ?pool ~gov ~properties nl r else r
+    let properties = Symbad_mc.Prop.pairs properties in
+    let r = Lint.run_netlist ?pool ?gov ?rules ~properties nl in
+    if escalate then Lint.escalate ?pool ?gov ~properties nl r else r
   in
-  let rtl =
+  let rtl () =
     List.map
       (fun (m : Level4.rtl_module) ->
         run m.Level4.netlist m.Level4.properties)
       (Level4.modules ())
   in
-  let recovery =
+  let recovery () =
     let nl = Recovery.netlist () in
     [ run nl (Recovery.properties nl) ]
   in
-  rtl @ recovery
+  match only with
+  | Some `Rtl -> rtl ()
+  | Some `Recovery -> recovery ()
+  | None ->
+      let rtl = rtl () in
+      rtl @ recovery ()
 
 let profile_of_spans spans =
   (* self time = inclusive minus direct children, via one parent pass *)

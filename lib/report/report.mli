@@ -81,6 +81,24 @@ val assemble :
     ledger's spend is already replayed onto counter tracks), and the
     enabled flag is restored for callers that had it off. *)
 
+val lint_corpus :
+  ?pool:Symbad_par.Par.pool ->
+  ?gov:Symbad_gov.Gov.t ->
+  ?rules:string list ->
+  ?escalate:bool ->
+  ?only:[ `Rtl | `Recovery ] ->
+  unit ->
+  Symbad_lint.Lint.report list
+(** Lint the lintable corpus, one report per netlist: the level-4 RTL
+    modules ({!Symbad_core.Level4.modules}), then the recovery
+    controller, each with its own properties so property cones keep
+    verification-only registers live.  [only] restricts the run to one
+    of the two groups; [rules], [pool] and [gov] are handed to
+    {!Symbad_lint.Lint.run_netlist}, and [escalate] (default [false])
+    follows each report with {!Symbad_lint.Lint.escalate} under the
+    same governor.  [symbad lint], the lint baseline and {!assemble}
+    all lint this one list. *)
+
 val to_json : ?timings:bool -> t -> string
 (** One JSON document (trailing newline).  [~timings:false] scrubs host
     timing per the convention above for byte-stable comparison. *)

@@ -20,4 +20,5 @@ let () =
       ("lint", Test_lint.suite);
       ("report", Test_report.suite);
       ("cache", Test_cache.suite);
+      ("baseline", Test_baseline.suite);
     ]
