@@ -1,13 +1,13 @@
 (* The reconfiguration analyzer family: static dataflow over the
    mini-C CFG, no simulation.
 
-   One forward may-analysis computes, per CFG node, the set of FPGA
-   states — [None] (unloaded) or [Some config] — that can hold when
-   control reaches it.  [Reconfig c] is a strong update (the whole
-   fabric is reloaded, so the post-state is exactly [{Some c}]); every
-   other action is the identity.  Because reconfiguration replaces the
-   state wholesale, a singleton may-set is simultaneously the must-set,
-   which is what makes the redundancy rule exact.
+   The may-analysis is {!Symbad_symbc.Dataflow.solo}: per CFG node, the
+   set of FPGA states that can hold when control reaches it.
+   [Reconfig c] is a strong update (the whole fabric is reloaded, so
+   the post-state is exactly [{Loaded c}]); every other action is the
+   identity.  Because reconfiguration replaces the state wholesale, a
+   singleton may-set is simultaneously the must-set, which is what
+   makes the redundancy rule exact.
 
    The may/must gap is the documented warning direction: a call whose
    context is loaded on only *some* paths is a warning here (dynamic
@@ -15,17 +15,16 @@
 
 module Cfg = Symbad_symbc.Cfg
 module Ci = Symbad_symbc.Config_info
+module Check = Symbad_symbc.Check
+module Dataflow = Symbad_symbc.Dataflow
+module States = Dataflow.States
 module D = Diagnostic
 
-module States = Set.Make (struct
-  type t = string option
+(* [may] is the solo fixpoint, computed once here: the rules run in
+   parallel and only read it. *)
+type ctx = { ci : Ci.t; cfg : Cfg.t; target : string; may : States.t array }
 
-  let compare = Option.compare String.compare
-end)
-
-type ctx = { ci : Ci.t; cfg : Cfg.t; target : string }
-
-let context ~target ci cfg = { ci; cfg; target }
+let context ~target ci cfg = { ci; cfg; target; may = Dataflow.solo cfg }
 
 let diag ctx ?hint ~rule ~severity ~location message =
   D.make ?hint ~rule ~severity ~target:ctx.target ~location message
@@ -43,60 +42,30 @@ let edges (cfg : Cfg.t) =
         (b.Cfg.src, b.Cfg.dst, Cfg.action_to_string b.Cfg.action))
     cfg.Cfg.edges
 
-(* The transfer function: [Reconfig] is a strong update, everything
-   else the identity.  [Sched_rules] reuses it over the product graph. *)
-let transfer (a : Cfg.action) s =
-  match a with
-  | Cfg.Reconfig c -> if States.is_empty s then s else States.singleton (Some c)
-  | Cfg.Nop | Cfg.Call _ -> s
-
-(* The may-analysis fixpoint: reachable nodes have non-empty sets. *)
-let may_states (cfg : Cfg.t) =
-  let states = Array.make cfg.Cfg.nnodes States.empty in
-  states.(cfg.Cfg.entry) <- States.singleton None;
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun (e : Cfg.edge) ->
-        let out = transfer e.Cfg.action states.(e.Cfg.src) in
-        let merged = States.union states.(e.Cfg.dst) out in
-        if not (States.equal merged states.(e.Cfg.dst)) then begin
-          states.(e.Cfg.dst) <- merged;
-          changed := true
-        end)
-      cfg.Cfg.edges
-  done;
-  states
-
-let state_label = function None -> "unloaded" | Some c -> c
-
-(* The states of [s] whose configuration provides FPGA function [f]. *)
-let providers ci f s =
-  States.filter
-    (function
-      | Some c -> Ci.has_configuration ci c && Ci.provides ci ~config:c f
-      | None -> false)
-    s
+let state_label = function Check.Unloaded -> "unloaded" | Check.Loaded c -> c
 
 (* --- cfg.never-loaded / cfg.maybe-unloaded ----------------------------- *)
 
-let call_findings ctx =
-  let may = may_states ctx.cfg in
+(* The reachable FPGA-call edges of [cfg] under the fixpoint [may], each
+   with its may-states and the ones in which the call fails.
+   Unreachable calls are not call defects.  [Sched_rules] reuses it. *)
+let fpga_calls ci cfg (may : States.t array) =
   List.filter_map
     (fun (e : Cfg.edge) ->
+      let s = may.(e.Cfg.src) in
       match e.Cfg.action with
-      | Cfg.Call f when Ci.is_fpga_function ctx.ci f ->
-          let s = may.(e.Cfg.src) in
-          if States.is_empty s then None (* unreachable: not a call defect *)
-          else
-            let good = providers ctx.ci f s in
-            if States.is_empty good then Some (`Never, e, f, s)
-            else if States.cardinal good < States.cardinal s then
-              Some (`Maybe, e, f, s)
-            else None
+      | Cfg.Call f when Ci.is_fpga_function ci f && not (States.is_empty s) ->
+          Some (e, f, s, Dataflow.unavailable ci f s)
       | _ -> None)
-    (edges ctx.cfg)
+    (edges cfg)
+
+let call_findings ctx =
+  List.filter_map
+    (fun (e, f, s, bad) ->
+      if States.equal bad s then Some (`Never, e, f, s)
+      else if not (States.is_empty bad) then Some (`Maybe, e, f, s)
+      else None)
+    (fpga_calls ctx.ci ctx.cfg ctx.may)
 
 let rule_never_loaded ctx =
   List.filter_map
@@ -155,12 +124,12 @@ let rule_unknown_config ctx =
 (* --- cfg.redundant-config ---------------------------------------------- *)
 
 let rule_redundant_config ctx =
-  let may = may_states ctx.cfg in
   List.filter_map
     (fun (e : Cfg.edge) ->
       match e.Cfg.action with
       | Cfg.Reconfig c
-        when States.equal may.(e.Cfg.src) (States.singleton (Some c)) ->
+        when States.equal ctx.may.(e.Cfg.src)
+               (States.singleton (Check.Loaded c)) ->
           Some
             (diag ctx ~rule:"cfg.redundant-config" ~severity:D.Warning
                ~location:(edge_loc e)
@@ -173,11 +142,10 @@ let rule_redundant_config ctx =
 (* --- cfg.unreachable-config -------------------------------------------- *)
 
 let rule_unreachable_config ctx =
-  let may = may_states ctx.cfg in
   List.filter_map
     (fun (e : Cfg.edge) ->
       match e.Cfg.action with
-      | Cfg.Reconfig c when States.is_empty may.(e.Cfg.src) ->
+      | Cfg.Reconfig c when States.is_empty ctx.may.(e.Cfg.src) ->
           Some
             (diag ctx ~rule:"cfg.unreachable-config" ~severity:D.Warning
                ~location:(edge_loc e)

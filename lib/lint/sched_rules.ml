@@ -4,13 +4,13 @@
    Solo, each may be clean under [Program_rules]'s may-analysis; the
    hazard this family adds is *interleaving*: between a tenant's
    reconfiguration and its FPGA call, another tenant may reload the
-   fabric.  The solo analysis is [Program_rules.may_states] itself; the
-   interference analysis runs the same transfer function to a fixpoint
-   over the product of two CFGs — nodes are pairs, edges interleave one
-   step of either tenant, the fabric state is shared and [Reconfig] is
-   still a strong update — so a call that is provably loaded solo can
-   become maybe-unloaded in the product, which is exactly the
-   context-conflict finding.
+   fabric.  The solo analysis is {!Symbad_symbc.Dataflow.solo}, as for
+   [Program_rules]; the interference analysis is the same fixpoint over
+   the product of two CFGs ({!Symbad_symbc.Dataflow.product}) — nodes
+   are pairs, edges interleave one step of either tenant, the fabric
+   state is shared and [Reconfig] is still a strong update — so a call
+   that is provably loaded solo can become maybe-unloaded in the
+   product, which is exactly the context-conflict finding.
 
    The second rule is admission-time feasibility: each tenant's
    worst-case reconfiguration time is a longest-path bound over its own
@@ -21,14 +21,16 @@
 
 module Cfg = Symbad_symbc.Cfg
 module Ci = Symbad_symbc.Config_info
+module Check = Symbad_symbc.Check
+module Dataflow = Symbad_symbc.Dataflow
+module States = Dataflow.States
 module D = Diagnostic
-
-module States = Program_rules.States
 
 type ctx = {
   target : string;
   ci : Ci.t;
-  tenants : (string * Cfg.t) list;
+  tenants : (string * Cfg.t * States.t array) list;
+      (** name, CFG and solo fixpoint, computed once in [context] *)
   cost_ns : string -> int;  (** reconfiguration cost per configuration *)
   deadline_ns : int option;  (** admission deadline; [None] disables wcrt *)
 }
@@ -39,42 +41,13 @@ let default_cost_ns _config = 1_000_000
 
 let context ?(cost_ns = default_cost_ns) ?deadline_ns ?(target = "tenants") ci
     tenants =
+  let tenants =
+    List.map (fun (n, cfg) -> (n, cfg, Dataflow.solo cfg)) tenants
+  in
   { target; ci; tenants; cost_ns; deadline_ns }
 
 let diag ctx ?hint ~rule ~severity ~location message =
   D.make ?hint ~rule ~severity ~target:ctx.target ~location message
-
-(* Interleaved-product may-analysis of tenants [a] and [b]: node
-   (u, v) indexed as [u * b.nnodes + v], fabric state shared. *)
-let product_states (a : Cfg.t) (b : Cfg.t) =
-  let nb = b.Cfg.nnodes in
-  let states = Array.make (a.Cfg.nnodes * nb) States.empty in
-  states.((a.Cfg.entry * nb) + b.Cfg.entry) <- States.singleton None;
-  let changed = ref true in
-  let relax src dst action =
-    let out = Program_rules.transfer action states.(src) in
-    let merged = States.union states.(dst) out in
-    if not (States.equal merged states.(dst)) then begin
-      states.(dst) <- merged;
-      changed := true
-    end
-  in
-  while !changed do
-    changed := false;
-    for v = 0 to nb - 1 do
-      List.iter
-        (fun (e : Cfg.edge) ->
-          relax ((e.Cfg.src * nb) + v) ((e.Cfg.dst * nb) + v) e.Cfg.action)
-        a.Cfg.edges
-    done;
-    for u = 0 to a.Cfg.nnodes - 1 do
-      List.iter
-        (fun (e : Cfg.edge) ->
-          relax ((u * nb) + e.Cfg.src) ((u * nb) + e.Cfg.dst) e.Cfg.action)
-        b.Cfg.edges
-    done
-  done;
-  states
 
 (* --- sched.context-conflict -------------------------------------------- *)
 
@@ -82,40 +55,31 @@ let product_states (a : Cfg.t) (b : Cfg.t) =
    reachable, and every may-state provides the function.  Calls the
    solo analysis flags are [cfg.never-loaded]/[cfg.maybe-unloaded]
    findings on the tenant itself, not interference. *)
-let solo_clean_calls ctx (cfg : Cfg.t) =
-  let solo = Program_rules.may_states cfg in
+let solo_clean_calls ctx cfg solo =
   List.filter_map
-    (fun (e : Cfg.edge) ->
-      match e.Cfg.action with
-      | Cfg.Call f when Ci.is_fpga_function ctx.ci f ->
-          let s = solo.(e.Cfg.src) in
-          if
-            (not (States.is_empty s))
-            && States.equal (Program_rules.providers ctx.ci f s) s
-          then Some (e, f)
-          else None
-      | _ -> None)
-    (Program_rules.edges cfg)
+    (fun (e, f, _, bad) -> if States.is_empty bad then Some (e, f) else None)
+    (Program_rules.fpga_calls ctx.ci cfg solo)
 
 let rule_context_conflict ctx =
   let seen = Hashtbl.create 8 in
-  let pair (an, a) (bn, b) =
-    let product = product_states a b in
+  let pair (an, a, solo_a) (bn, b, _) =
+    let product = Dataflow.product a b in
     let nb = b.Cfg.nnodes in
     List.filter_map
       (fun ((e : Cfg.edge), f) ->
         (* Fabric states reachable at the call site under interleaving
            with [b], over every position [b] may occupy. *)
-        let s = ref States.empty in
-        for v = 0 to nb - 1 do
-          s := States.union !s product.((e.Cfg.src * nb) + v)
-        done;
-        let bad = States.diff !s (Program_rules.providers ctx.ci f !s) in
-        match States.elements bad with
+        let s =
+          Array.fold_left States.union States.empty
+            (Array.sub product (e.Cfg.src * nb) nb)
+        in
+        match States.elements (Dataflow.unavailable ctx.ci f s) with
         | [] -> None
         | witness :: _ ->
             let c =
-              match witness with Some c -> c | None -> "(unloaded)"
+              match witness with
+              | Check.Loaded c -> c
+              | Check.Unloaded -> "(unloaded)"
             in
             let key = (an, bn, f, c) in
             if Hashtbl.mem seen key then None
@@ -132,7 +96,7 @@ let rule_context_conflict ctx =
                        the shared fabric to '%s'"
                       f an bn c))
             end)
-      (solo_clean_calls ctx a)
+      (solo_clean_calls ctx a solo_a)
   in
   let rec pairs = function
     | [] -> []
@@ -179,7 +143,7 @@ let rule_wcrt ctx =
   | None -> []
   | Some deadline ->
       List.filter_map
-        (fun (name, cfg) ->
+        (fun (name, cfg, _) ->
           let mk =
             diag ctx ~rule:"sched.wcrt" ~severity:D.Error
               ~location:("tenant " ^ name)

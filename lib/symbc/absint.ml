@@ -4,20 +4,16 @@
    ({no configuration} + one element per configuration) ordered by
    inclusion; the transfer function of a reconfiguration edge is the
    constant singleton, every other edge is the identity; joins happen at
-   CFG merge points.  A worklist fixpoint yields, per program point, the
-   set of states the FPGA may be in — the same invariant the product
-   reachability of {!Check} computes, obtained the way the paper
+   CFG merge points.  The {!Dataflow.solo} fixpoint yields, per program
+   point, the set of states the FPGA may be in — the same invariant the
+   product reachability of {!Check} computes, obtained the way the paper
    describes ("abstract interpretation to check reconfiguration
    consistency").
 
    For this property the powerset domain loses no precision, so the two
    engines must agree on every program; the test suite checks that. *)
 
-module State_set = Set.Make (struct
-  type t = Check.fpga_state
-
-  let compare = compare
-end)
+module States = Dataflow.States
 
 type node_invariant = { node : int; states : Check.fpga_state list }
 
@@ -30,12 +26,6 @@ type verdict =
           (* reachable states in which the call is unavailable *)
     }
 
-(* Abstract transfer along one edge. *)
-let transfer action states =
-  match action with
-  | Cfg.Reconfig c -> State_set.singleton (Check.Loaded c)
-  | Cfg.Nop | Cfg.Call _ -> states
-
 let analyze info (program : Ast.program) =
   List.iter
     (fun c ->
@@ -43,80 +33,45 @@ let analyze info (program : Ast.program) =
         invalid_arg ("Absint.analyze: program loads unknown configuration " ^ c))
     (Ast.loaded_configs program);
   let cfg = Cfg.build program in
-  let nnodes = cfg.Cfg.nnodes in
-  let in_states = Array.make nnodes State_set.empty in
-  in_states.(cfg.Cfg.entry) <- State_set.singleton Check.Unloaded;
-  (* worklist fixpoint *)
-  let worklist = Queue.create () in
-  Queue.push cfg.Cfg.entry worklist;
-  let on_queue = Array.make nnodes false in
-  on_queue.(cfg.Cfg.entry) <- true;
-  while not (Queue.is_empty worklist) do
-    let node = Queue.pop worklist in
-    on_queue.(node) <- false;
-    let states = in_states.(node) in
-    List.iter
+  let in_states = Dataflow.solo cfg in
+  (* check every reachable call edge against its source invariant *)
+  let calls =
+    List.filter_map
       (fun (e : Cfg.edge) ->
-        let out = transfer e.Cfg.action states in
-        let merged = State_set.union in_states.(e.Cfg.dst) out in
-        if not (State_set.equal merged in_states.(e.Cfg.dst)) then begin
-          in_states.(e.Cfg.dst) <- merged;
-          if not on_queue.(e.Cfg.dst) then begin
-            Queue.push e.Cfg.dst worklist;
-            on_queue.(e.Cfg.dst) <- true
-          end
-        end)
-      (Cfg.successors cfg node)
-  done;
-  (* check every call edge against its source invariant *)
-  let calls_checked = ref 0 in
-  let violation = ref None in
-  List.iter
-    (fun (e : Cfg.edge) ->
-      match e.Cfg.action with
-      | Cfg.Call f when !violation = None ->
-          if not (State_set.is_empty in_states.(e.Cfg.src)) then begin
-            incr calls_checked;
-            let offending =
-              State_set.filter
-                (fun s -> not (Check.call_ok info s f))
-                in_states.(e.Cfg.src)
-            in
-            if not (State_set.is_empty offending) then
-              violation :=
-                Some
-                  (Unsafe
-                     {
-                       failing_call = f;
-                       node = e.Cfg.src;
-                       offending_states = State_set.elements offending;
-                     })
-          end
-      | Cfg.Call _ | Cfg.Nop | Cfg.Reconfig _ -> ())
-    cfg.Cfg.edges;
-  match !violation with
-  | Some v -> v
+        let states = in_states.(e.Cfg.src) in
+        match e.Cfg.action with
+        | Cfg.Call f when not (States.is_empty states) ->
+            Some (f, e.Cfg.src, Dataflow.unavailable info f states)
+        | Cfg.Call _ | Cfg.Nop | Cfg.Reconfig _ -> None)
+      cfg.Cfg.edges
+  in
+  match List.find_opt (fun (_, _, bad) -> not (States.is_empty bad)) calls with
+  | Some (failing_call, node, bad) ->
+      Unsafe { failing_call; node; offending_states = States.elements bad }
   | None ->
       Safe
         {
           invariants =
-            List.init nnodes (fun node ->
-                { node; states = State_set.elements in_states.(node) })
+            List.init cfg.Cfg.nnodes (fun node ->
+                { node; states = States.elements in_states.(node) })
             |> List.filter (fun inv -> inv.states <> []);
-          calls_checked = !calls_checked;
+          calls_checked = List.length calls;
         }
 
 let agrees_with_check info program =
   let a = analyze info program in
   let c = Check.check info program in
   match (a, c) with
-  | Safe _, Check.Consistent _ -> true
-  | Unsafe { failing_call; _ }, Check.Inconsistent cex ->
-      (* both engines must blame a genuine violation; the specific call
-         may differ when several are unsafe, so only cross-check
-         existence plus that the abstract engine's verdict is real *)
-      String.length failing_call > 0
-      && String.length cex.Check.failing_call > 0
+  | Safe { invariants; _ }, Check.Consistent cert ->
+      (* the same reachable states at every program point *)
+      List.map (fun inv -> (inv.node, inv.states)) invariants
+      = List.map
+          (fun (node, states) -> (node, List.sort compare states))
+          cert.Check.invariants
+  | Unsafe _, Check.Inconsistent cex ->
+      (* the specific call may differ when several are unsafe; the
+         product engine's counterexample must be a genuine violation *)
+      not (Check.call_ok info cex.Check.state_at_call cex.Check.failing_call)
   | Safe _, Check.Inconsistent _ | Unsafe _, Check.Consistent _ -> false
 
 let pp_verdict fmt = function

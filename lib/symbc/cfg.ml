@@ -62,8 +62,10 @@ let build (program : Ast.program) =
   let exit_ = seq entry program in
   { entry; exit_; nnodes = !counter; edges = List.rev !edges }
 
-let successors t node =
-  List.filter (fun e -> e.src = node) t.edges
+let out_edges t =
+  let out = Array.make t.nnodes [] in
+  List.iter (fun e -> out.(e.src) <- e :: out.(e.src)) (List.rev t.edges);
+  out
 
 let pp fmt t =
   Fmt.pf fmt "cfg: %d nodes, entry %d, exit %d@." t.nnodes t.entry t.exit_;

@@ -9,5 +9,7 @@ type t = { entry : int; exit_ : int; nnodes : int; edges : edge list }
 
 val action_to_string : action -> string
 val build : Ast.program -> t
-val successors : t -> int -> edge list
+val out_edges : t -> edge list array
+(** Each node's outgoing edges, in [edges] order. *)
+
 val pp : Format.formatter -> t -> unit

@@ -36,13 +36,15 @@ type certificate = {
 type verdict = Consistent of certificate | Inconsistent of counterexample
 
 (* A call is safe in a given FPGA state if the function is plain SW, or
-   the loaded configuration provides it. *)
+   the loaded configuration is a known one that provides it. *)
 let call_ok info state f =
   if not (Config_info.is_fpga_function info f) then true
   else
     match state with
     | Unloaded -> false
-    | Loaded c -> Config_info.provides info ~config:c f
+    | Loaded c ->
+        Config_info.has_configuration info c
+        && Config_info.provides info ~config:c f
 
 let check info (program : Ast.program) =
   (* reject programs loading unknown configurations outright *)
@@ -52,6 +54,7 @@ let check info (program : Ast.program) =
         invalid_arg ("Symbc.check: program loads unknown configuration " ^ c))
     (Ast.loaded_configs program);
   let cfg = Cfg.build program in
+  let out = Cfg.out_edges cfg in
   let module Key = struct
     type t = int * fpga_state
   end in
@@ -105,7 +108,7 @@ let check info (program : Ast.program) =
             Hashtbl.add parent key' (key, e.Cfg.action);
             Queue.push key' queue
           end)
-        (Cfg.successors cfg node)
+        out.(node)
     done;
     (* certificate: group reachable states by program point *)
     let inv : (int, fpga_state list) Hashtbl.t = Hashtbl.create 64 in

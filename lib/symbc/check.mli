@@ -27,7 +27,8 @@ type certificate = {
 type verdict = Consistent of certificate | Inconsistent of counterexample
 
 val call_ok : Config_info.t -> fpga_state -> string -> bool
-(** Is one call safe in one FPGA state? *)
+(** Is one call safe in one FPGA state?  A configuration [info] does
+    not declare provides nothing. *)
 
 val check : Config_info.t -> Ast.program -> verdict
 (** Raises [Invalid_argument] if the program loads an unknown

@@ -586,6 +586,71 @@ let sched_wcrt () =
   let r = Lint.run_tenants Seeded.ci Seeded.tenant_wcrt_unbounded in
   check_bool "no deadline, no wcrt finding" false (fired "sched.wcrt" r)
 
+(* The exact text of every seeded program, CFG and tenant finding: the
+   state-set rendering ("{unloaded, c_edge}", the "(unloaded)" witness)
+   is part of the report, not only which rules fire. *)
+let seeded_text_pinned () =
+  let reports =
+    List.map (fun (_, p) -> Lint.run_program Seeded.ci p)
+      Seeded.program_fixtures
+    @ [
+        Lint.run_cfg Seeded.ci Seeded.cfg_unreachable;
+        Lint.run_tenants Seeded.ci Seeded.tenants_conflict;
+        Lint.run_tenants ~deadline_ns:1_500_000 Seeded.ci
+          Seeded.tenant_wcrt_unbounded;
+        Lint.run_tenants ~deadline_ns:1_500_000 Seeded.ci
+          Seeded.tenant_wcrt_straight;
+      ]
+  in
+  Alcotest.(check (list (triple string string string)))
+    "seeded diagnostics"
+    [
+      ( "cfg.never-loaded",
+        "edge 1->2 (edge())",
+        "call to FPGA function 'edge': no path loads a providing \
+         configuration" );
+      ( "cfg.maybe-unloaded",
+        "edge 1->5 (edge())",
+        "call to FPGA function 'edge' reachable with states {unloaded, \
+         c_edge}; not all provide it" );
+      ( "cfg.never-loaded",
+        "edge 1->2 (edge())",
+        "call to FPGA function 'edge': no path loads a providing \
+         configuration" );
+      ( "cfg.unknown-config",
+        "edge 0->1 (load(c_typo))",
+        "reconfiguration loads unknown configuration 'c_typo'" );
+      ( "cfg.redundant-config",
+        "edge 1->2 (load(c_edge))",
+        "configuration 'c_edge' is already loaded on every path here" );
+      ( "cfg.unreachable-config",
+        "edge 2->3 (load(c_edge))",
+        "unreachable reconfiguration of 'c_edge'" );
+      ( "sched.context-conflict",
+        "tenants edge-tenant + erosion-tenant",
+        "call to 'edge' in 'edge-tenant' may run after 'erosion-tenant' \
+         reconfigures the shared fabric to 'c_erosion'" );
+      ( "sched.context-conflict",
+        "tenants erosion-tenant + edge-tenant",
+        "call to 'erosion' in 'erosion-tenant' may run after 'edge-tenant' \
+         reconfigures the shared fabric to 'c_edge'" );
+      ( "sched.wcrt",
+        "tenant looping-tenant",
+        "worst-case reconfiguration time is unbounded: a reconfiguration \
+         sits inside a loop" );
+      ( "sched.wcrt",
+        "tenant straight-tenant",
+        "worst-case reconfiguration time 2000000 ns exceeds the admission \
+         deadline 1500000 ns" );
+    ]
+    (List.concat_map
+       (fun r ->
+         List.map
+           (fun (d : Diagnostic.t) ->
+             (d.Diagnostic.rule, d.Diagnostic.location, d.Diagnostic.message))
+           r.Lint.diagnostics)
+       reports)
+
 (* --- export formats ---------------------------------------------------- *)
 
 (* Diagnostic JSON is versioned: schema_version at the report top level
@@ -683,6 +748,8 @@ let suite =
     Alcotest.test_case "sched.context-conflict on interleaved tenants" `Quick
       sched_conflict;
     Alcotest.test_case "sched.wcrt vs the admission deadline" `Quick sched_wcrt;
+    Alcotest.test_case "seeded diagnostic text is pinned" `Quick
+      seeded_text_pinned;
     Alcotest.test_case "diagnostic JSON carries schema_version" `Quick
       schema_version_present;
     Alcotest.test_case "SARIF 2.1.0 export" `Quick sarif_export;

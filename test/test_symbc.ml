@@ -73,13 +73,14 @@ let cfg_linear () =
 let cfg_if_shape () =
   let cfg = Cfg.build [ Ast.if_ [ Ast.call "t" ] [ Ast.call "e" ] ] in
   (* entry, join, then-entry, then-exit-is-call-result, else-entry, ... *)
-  check "two successors at branch" 2 (List.length (Cfg.successors cfg cfg.Cfg.entry))
+  check "two successors at branch" 2
+    (List.length (Cfg.out_edges cfg).(cfg.Cfg.entry))
 
 let cfg_while_shape () =
   let cfg = Cfg.build [ Ast.while_ [ Ast.call "body" ] ] in
   (* loop head: into body and out *)
   check "two successors at loop head" 2
-    (List.length (Cfg.successors cfg cfg.Cfg.entry))
+    (List.length (Cfg.out_edges cfg).(cfg.Cfg.entry))
 
 (* --- Check --- *)
 
@@ -164,6 +165,16 @@ let unknown_config_rejected () =
        ignore (Check.check info p);
        false
      with Invalid_argument _ -> true)
+
+(* A configuration the info does not declare provides nothing: the
+   answer is [false], not an exception. *)
+let call_ok_is_total () =
+  check_bool "undeclared config, FPGA function" false
+    (Check.call_ok info (Check.Loaded "mystery") "distance");
+  check_bool "undeclared config, SW function" true
+    (Check.call_ok info (Check.Loaded "mystery") "camera");
+  check_bool "declared config still provides" true
+    (Check.call_ok info (Check.Loaded "config1") "distance")
 
 (* --- Absint: the abstract-interpretation engine --- *)
 
@@ -288,6 +299,63 @@ let qcheck_absint_agrees_with_product =
     ~count:300 (QCheck.make gen_program)
     (fun program -> Absint.agrees_with_check info program)
 
+(* With no FPGA functions every program is consistent, so both engines
+   certify and their per-node invariants are compared on every random
+   program, loops included. *)
+let all_software =
+  Config_info.make ~fpga_functions:[]
+    ~configurations:[ ("config1", []); ("config2", []) ]
+    ()
+
+let qcheck_absint_invariants_match_check =
+  QCheck.Test.make
+    ~name:"abstract interpretation invariants equal the product certificate"
+    ~count:300 (QCheck.make gen_program)
+    (fun program -> Absint.agrees_with_check all_software program)
+
+(* The interleaved-product fixpoint against explicit-state BFS over
+   (u, v, fabric state). *)
+let product_by_bfs (a : Cfg.t) (b : Cfg.t) =
+  let nb = b.Cfg.nnodes in
+  let out_a = Cfg.out_edges a and out_b = Cfg.out_edges b in
+  let seen = Hashtbl.create 64 and queue = Queue.create () in
+  let visit key =
+    if not (Hashtbl.mem seen key) then begin
+      Hashtbl.add seen key ();
+      Queue.push key queue
+    end
+  in
+  let after state = function
+    | Cfg.Reconfig c -> Check.Loaded c
+    | Cfg.Nop | Cfg.Call _ -> state
+  in
+  visit (a.Cfg.entry, b.Cfg.entry, Check.Unloaded);
+  while not (Queue.is_empty queue) do
+    let u, v, state = Queue.pop queue in
+    List.iter
+      (fun (e : Cfg.edge) -> visit (e.Cfg.dst, v, after state e.Cfg.action))
+      out_a.(u);
+    List.iter
+      (fun (e : Cfg.edge) -> visit (u, e.Cfg.dst, after state e.Cfg.action))
+      out_b.(v)
+  done;
+  let states = Array.make (a.Cfg.nnodes * nb) [] in
+  Hashtbl.iter
+    (fun (u, v, state) () ->
+      let n = (u * nb) + v in
+      states.(n) <- state :: states.(n))
+    seen;
+  Array.map (List.sort compare) states
+
+let qcheck_product_vs_bfs =
+  QCheck.Test.make ~name:"product fixpoint equals explicit interleaving BFS"
+    ~count:300
+    (QCheck.make (QCheck.Gen.pair gen_program gen_program))
+    (fun (pa, pb) ->
+      let a = Cfg.build pa and b = Cfg.build pb in
+      Array.map Dataflow.States.elements (Dataflow.product a b)
+      = product_by_bfs a b)
+
 let suite =
   [
     Alcotest.test_case "config info lookup" `Quick config_info_lookup;
@@ -312,10 +380,13 @@ let suite =
     Alcotest.test_case "counterexample is shortest" `Quick
       counterexample_is_shortest;
     Alcotest.test_case "unknown config rejected" `Quick unknown_config_rejected;
+    Alcotest.test_case "call_ok is total" `Quick call_ok_is_total;
     Alcotest.test_case "absint: safe program" `Quick absint_safe_program;
     Alcotest.test_case "absint: unsafe program" `Quick absint_unsafe_program;
     Alcotest.test_case "absint: join precision" `Quick absint_join_precision;
     Alcotest.test_case "absint: loop fixpoint" `Quick absint_loop_fixpoint;
     QCheck_alcotest.to_alcotest qcheck_absint_agrees_with_product;
+    QCheck_alcotest.to_alcotest qcheck_absint_invariants_match_check;
+    QCheck_alcotest.to_alcotest qcheck_product_vs_bfs;
     QCheck_alcotest.to_alcotest qcheck_check_vs_path_enumeration;
   ]
