@@ -48,8 +48,7 @@ let lint ?gov ?pool ?jobs ?(escalate = false) ~seed:_ (m : Level4.rtl_module) =
           Lint.escalate ~pool ?gov ~properties:props m.Level4.netlist r
         else r)
   in
-  { (Verdict.of_lint ~host_seconds report) with
-    Verdict.name = Printf.sprintf "lint %s" m.Level4.module_name }
+  Level4.lint_row ~host_seconds ~module_name:m.Level4.module_name report
 
 (* --- the formal engines ----------------------------------------------- *)
 
@@ -61,13 +60,7 @@ let model_check ?gov ?pool ?jobs ?(max_depth = 12) ~seed:_
         Mc.Engine.check_all ~pool ~max_depth ?gov m.Level4.netlist
           m.Level4.properties)
   in
-  let all = Mc.Engine.all_proved reports in
-  Verdict.make
-    ~name:(Printf.sprintf "model checking %s" m.Level4.module_name)
-    ~passed:all ~host_seconds
-    ~detail:(Printf.sprintf "%d properties" (List.length reports))
-    (if all then Verdict.Proved
-     else Verdict.Inconclusive "not all properties proved")
+  Level4.mc_row ~host_seconds ~module_name:m.Level4.module_name reports
 
 let pcc ?gov ?pool ?jobs ?(depth = 6) ?(max_reg_bits = 4) ~seed:_
     (m : Level4.rtl_module) =
@@ -77,8 +70,7 @@ let pcc ?gov ?pool ?jobs ?(depth = 6) ?(max_reg_bits = 4) ~seed:_
         Pcc.run ~pool ~depth ~max_reg_bits ?gov m.Level4.netlist
           m.Level4.properties)
   in
-  { (Verdict.of_pcc ~host_seconds report) with
-    Verdict.name = Printf.sprintf "PCC completeness %s" m.Level4.module_name }
+  Level4.pcc_row ~host_seconds ~module_name:m.Level4.module_name report
 
 (* --- the simulation engine -------------------------------------------- *)
 

@@ -31,13 +31,46 @@ val simulation_speed_khz : bus_period_ns:int -> result -> float
 (** Simulated bus-clock kHz achieved per host CPU second — the figure
     the paper reports as "simulation speed close to 200 kHz". *)
 
-val crosses_bus : Mapping.t -> Task_graph.t -> string -> bool
-(** Does the channel leave the CPU (and hence ride the bus)? *)
-
-val run :
-  ?config:config -> ?force_sw:string list -> Task_graph.t -> Mapping.t -> result
+val run : ?config:config -> Task_graph.t -> Mapping.t -> result
 (** Raises [Invalid_argument] if a source is not mapped to SW or any
-    task is mapped to an FPGA context (that is level 3).  [force_sw]
-    remaps the listed tasks to software before running — the static
-    graceful-degradation story: the pipeline still computes the same
-    tokens when an accelerator is unavailable, only slower. *)
+    task is mapped to an FPGA context (that is level 3). *)
+
+(** {2 The platform shared with level 3} *)
+
+type platform = {
+  kernel : Symbad_sim.Kernel.t;
+  bus : Symbad_tlm.Bus.t;
+  cpu_done : unit -> bool;
+      (** the CPU has run its last round and [drain] has returned *)
+  run_sw : Task_graph.task -> Task_graph.firing -> unit;
+      (** execute the firing's SW cycles on the CPU, then send its
+          outputs with the CPU as bus master *)
+  send : master:string -> Task_graph.task -> Token.t list -> unit;
+      (** record, carry over the bus if the channel crosses it, and put
+          the tokens on the task's output channels *)
+}
+
+val simulate :
+  config:config ->
+  ecc:bool ->
+  channel_loss:(string * (int -> bool)) list ->
+  fire_fpga:
+    (platform -> string -> Task_graph.task -> Token.t list ->
+    Task_graph.firing -> unit) ->
+  drain:(unit -> unit) ->
+  before_run:(platform -> unit) ->
+  Task_graph.t ->
+  Mapping.t ->
+  result
+(** The timed platform behind {!run} and [Level3.run]: kernel, trace,
+    bus ([ecc] as in [Symbad_tlm.Bus.create]), the ARM7 CPU and bounded
+    FIFOs.  HW tasks are autonomous processes; SW and FPGA tasks fire in
+    one cyclostatic CPU process.  [fire_fpga p ctx t] is applied once per
+    task mapped to [Fpga ctx] before the run and returns how the CPU
+    fires it, given the consumed inputs and the functional firing.  The
+    CPU process calls [drain] after its last round.  [before_run p] runs
+    once the platform's processes are spawned and before simulation
+    starts.  Channels named in [channel_loss] are lossy
+    ([Symbad_sim.Fifo.set_loss]); a sender re-sends a dropped token up
+    to three times.  Raises [Invalid_argument] if a source is not mapped
+    to SW. *)

@@ -12,7 +12,11 @@
        (annotated) FPGA computation, and reads the results back.
 
    The run also records the dynamic resource-call sequence and emits the
-   instrumented mini-C program, which is exactly what SymbC consumes. *)
+   instrumented mini-C program, which is exactly what SymbC consumes.
+
+   The platform itself — kernel, bus, CPU, FIFOs, HW processes and the
+   CPU's cyclostatic rounds — is the level-2 simulator
+   ([Level2.simulate]); this module adds only the fabric. *)
 
 module Sim = Symbad_sim
 module Tlm = Symbad_tlm
@@ -70,24 +74,29 @@ let simulation_speed_khz ~bus_period_ns (r : result) =
   let secs = r.kernel_stats.Sim.Kernel.cpu_seconds in
   if secs <= 0. then infinity else cycles /. secs /. 1000.
 
+(* The mapping's FPGA contexts, each with its member tasks. *)
+let context_members mapping =
+  let assignments = Mapping.fpga_tasks mapping in
+  List.map
+    (fun ctx ->
+      ( ctx,
+        List.filter_map
+          (fun (task, c) -> if String.equal c ctx then Some task else None)
+          assignments ))
+    (Mapping.contexts mapping)
+
 (* Build the FPGA device from the mapping: one resource per FPGA task,
    grouped into contexts. *)
 let build_fpga config mapping =
-  let assignments = Mapping.fpga_tasks mapping in
   let contexts =
     List.map
-      (fun ctx ->
-        let members =
-          List.filter_map
-            (fun (task, c) -> if String.equal c ctx then Some task else None)
-            assignments
-        in
+      (fun (ctx, members) ->
         Fpga.Context.make ctx
           (List.map
              (fun task ->
                Fpga.Resource.algorithm ~area:(config.task_area task) task)
              members))
-      (Mapping.contexts mapping)
+      (context_members mapping)
   in
   (* masked mode provisions a 3x fabric: the honest area price of TMR,
      visible as [area_loaded] in the device statistics *)
@@ -99,18 +108,9 @@ let build_fpga config mapping =
 
 (* The SymbC configuration-information input implied by the mapping. *)
 let config_info_of mapping =
-  let assignments = Mapping.fpga_tasks mapping in
   Symbad_symbc.Config_info.make
-    ~fpga_functions:(List.map fst assignments)
-    ~configurations:
-      (List.map
-         (fun ctx ->
-           ( ctx,
-             List.filter_map
-               (fun (task, c) -> if String.equal c ctx then Some task else None)
-               assignments ))
-         (Mapping.contexts mapping))
-    ()
+    ~fpga_functions:(List.map fst (Mapping.fpga_tasks mapping))
+    ~configurations:(context_members mapping) ()
 
 (* Instrumented SW: the cyclostatic loop with reconfiguration calls
    inserted before FPGA-resident invocations (omitting loads already
@@ -137,306 +137,143 @@ let instrumented_program ?(omit_load_for = []) schedule mapping =
 
 let run ?(config = default_config) ?(omit_load_for = []) ?(channel_loss = [])
     ?tap (graph : Task_graph.t) (mapping : Mapping.t) =
-  List.iter
-    (fun (t : Task_graph.task) ->
-      if t.Task_graph.inputs = [] && not (Mapping.is_sw mapping t.Task_graph.name)
-      then invalid_arg ("Level3.run: source " ^ t.Task_graph.name ^ " must be SW"))
-    graph.Task_graph.tasks;
-  let l2 = config.level2 in
-  let kernel = Sim.Kernel.create () in
-  let trace = Sim.Trace.create () in
-  let bus =
-    Tlm.Bus.create ~width_bytes:l2.Level2.bus_width_bytes
-      ~period_ns:l2.Level2.bus_period_ns ~ecc:config.masked "amba"
-  in
-  let cpu = Tlm.Cpu.create ~period_ns:l2.Level2.cpu_period_ns "arm7" in
   let fpga = build_fpga config mapping in
   let calls = ref [] in
-  let fifos : (string, Token.t Sim.Fifo.t) Hashtbl.t = Hashtbl.create 32 in
-  let fifo_of channel =
-    match Hashtbl.find_opt fifos channel with
-    | Some f -> f
-    | None ->
-        (* sink channels are drained by the environment: unbounded *)
-        let capacity =
-          if List.mem channel graph.Task_graph.sinks then 0
-          else l2.Level2.fifo_capacity
-        in
-        let f = Sim.Fifo.create ~capacity channel in
-        (match List.assoc_opt channel channel_loss with
-        | Some p -> Sim.Fifo.set_loss f (Some p)
-        | None -> ());
-        Hashtbl.add fifos channel f;
-        f
-  in
-  let record task channel token =
-    Sim.Trace.record trace ~time:(Sim.Kernel.now kernel) ~source:task
-      ~label:channel (Token.digest token)
-  in
-  (* Reliable delivery over possibly-lossy links: a dropped put is
-     detected through the channel's drop counter (the ack that never
-     came) and re-sent, bounded.  Loss-free channels take the exact
-     pre-fault path — the counter never moves. *)
-  let reliable_put f token =
-    let max_resend = 3 in
-    let rec go n =
-      let before = Sim.Fifo.drops f in
-      Sim.Fifo.put f token;
-      if Sim.Fifo.drops f > before && n < max_resend then go (n + 1)
-    in
-    go 0
-  in
-  let send ~master task channel token =
-    record task channel token;
-    if Level2.crosses_bus mapping graph channel then
-      Tlm.Bus.transfer bus
-        (Tlm.Transaction.make ~master ~target:channel
-           ~kind:Tlm.Transaction.Write ~bytes:(Token.bytes token));
-    reliable_put (fifo_of channel) token
-  in
-  (* pure-HW tasks stay autonomous *)
-  let spawn_hw (t : Task_graph.task) =
-    Sim.Kernel.spawn kernel ~name:t.Task_graph.name (fun () ->
-        let rec loop firing_index =
-          let inputs =
-            List.map (fun c -> Sim.Fifo.get (fifo_of c)) t.Task_graph.inputs
-          in
-          match t.Task_graph.fire ~firing_index inputs with
-          | None -> ()
-          | Some { Task_graph.outputs; work } ->
-              let cycles =
-                Annotation.cycles l2.Level2.annotation ~target:Annotation.Hw
-                  ~weight:work
-              in
-              Sim.Process.wait (Sim.Time.ns (cycles * l2.Level2.hw_period_ns));
-              List.iter2
-                (fun c token ->
-                  send ~master:t.Task_graph.name t.Task_graph.name c token)
-                t.Task_graph.outputs outputs;
-              loop (firing_index + 1)
-        in
-        loop 0)
-  in
-  let schedule =
-    List.filter
-      (fun (t : Task_graph.task) ->
-        match Mapping.target_of mapping t.Task_graph.name with
-        | Mapping.Sw | Mapping.Fpga _ -> true
-        | Mapping.Hw -> false)
-      (Task_graph.topological_order graph)
-  in
-  let sources, cpu_rest =
-    List.partition (fun (t : Task_graph.task) -> t.Task_graph.inputs = [])
-      schedule
-  in
   let sw_fallbacks = ref 0 in
-  let cpu_done = ref false in
-  let spawn_cpu () =
-    Sim.Kernel.spawn kernel ~name:"cpu" (fun () ->
-        let ended : (string, unit) Hashtbl.t = Hashtbl.create 8 in
-        let counts : (string, int) Hashtbl.t = Hashtbl.create 8 in
-        let fire_once (t : Task_graph.task) =
-          if not (Hashtbl.mem ended t.Task_graph.name) then begin
-            let name = t.Task_graph.name in
-            let firing_index =
-              Option.value ~default:0 (Hashtbl.find_opt counts name)
-            in
-            let inputs =
-              List.map (fun c -> Sim.Fifo.get (fifo_of c)) t.Task_graph.inputs
-            in
-            match t.Task_graph.fire ~firing_index inputs with
-            | None -> Hashtbl.replace ended name ()
-            | Some { Task_graph.outputs; work } -> (
-                Hashtbl.replace counts name (firing_index + 1);
-                match Mapping.target_of mapping name with
-                | Mapping.Hw -> assert false
-                | Mapping.Sw ->
-                    let cycles =
-                      Annotation.cycles l2.Level2.annotation
-                        ~target:Annotation.Sw ~weight:work
-                    in
-                    Tlm.Cpu.execute cpu ~cycles;
-                    List.iter2
-                      (fun c token -> send ~master:"cpu" name c token)
-                      t.Task_graph.outputs outputs
-                | Mapping.Fpga ctx ->
-                    (* graceful degradation: once recovery has given up
-                       on the fabric, the task's software implementation
-                       computes the very same tokens, only slower *)
-                    let fire_sw_fallback () =
-                      incr sw_fallbacks;
-                      let cycles =
-                        Annotation.cycles l2.Level2.annotation
-                          ~target:Annotation.Sw ~weight:work
-                      in
-                      Tlm.Cpu.execute cpu ~cycles;
-                      List.iter2
-                        (fun c token -> send ~master:"cpu" name c token)
-                        t.Task_graph.outputs outputs
-                    in
-                    if not (Fpga.Fpga.is_healthy fpga) then fire_sw_fallback ()
-                    else begin
-                      match
-                        calls := name :: !calls;
-                        (* reconfigure unless the SW omitted the load (bug
-                           injection): then the device check fires *)
-                        if not (List.mem name omit_load_for) then
-                          Fpga.Fpga.reconfigure
-                            ~verify_previous:(config.scrub_period_ns > 0)
-                            fpga ~bus ~master:"cpu" ctx;
-                        Fpga.Fpga.require fpga name
-                      with
-                      | exception Fpga.Fpga.Download_failed _ ->
-                          (* persistent bitstream corruption: the context
-                             cannot be brought up — degrade *)
-                          Fpga.Fpga.mark_unhealthy fpga;
-                          fire_sw_fallback ()
-                      | () ->
-                          if not (Fpga.Fpga.responding fpga name) then begin
-                            (* wedged resource: the watchdog expires and
-                               the controller declares the fabric sick *)
-                            Sim.Process.wait (Sim.Time.ns config.watchdog_ns);
-                            Fpga.Fpga.note_watchdog fpga;
-                            Fpga.Fpga.mark_unhealthy fpga;
-                            fire_sw_fallback ()
-                          end
-                          else begin
-                            (* ship operands, compute, ship results *)
-                            (match
-                               List.iter
-                                 (fun token ->
-                                   Tlm.Bus.transfer bus
-                                     (Tlm.Transaction.make ~master:"cpu"
-                                        ~target:"efpga"
-                                        ~kind:Tlm.Transaction.Write
-                                        ~bytes:(Token.bytes token)))
-                                 inputs
-                             with
-                            | exception Tlm.Bus.Transfer_failed _ ->
-                                (* operands never reached the fabric; the
-                                   CPU still holds them — degrade *)
-                                Fpga.Fpga.mark_unhealthy fpga;
-                                fire_sw_fallback ()
-                            | () ->
-                                let corrupt_pre =
-                                  Fpga.Fpga.loaded_corrupted fpga
-                                in
-                                let cycles =
-                                  Annotation.cycles l2.Level2.annotation
-                                    ~target:Annotation.Fpga ~weight:work
-                                in
-                                Sim.Process.wait
-                                  (Sim.Time.ns (cycles * config.fpga_period_ns));
-                                if config.masked then begin
-                                  (* TMR: the majority vote at readout
-                                     masks a single upset copy — the
-                                     result is correct and the dissenting
-                                     copy is repaired in the shadow of
-                                     continued operation.  Only a
-                                     multi-copy corruption defeats the
-                                     vote; then the result is discarded
-                                     and redone in software. *)
-                                  match Fpga.Fpga.vote_and_repair fpga with
-                                  | `Corrupt -> fire_sw_fallback ()
-                                  | `Clean | `Masked ->
-                                      List.iter2
-                                        (fun c token ->
-                                          send ~master:"efpga" name c token)
-                                        t.Task_graph.outputs outputs
-                                end
-                                else if
-                                  config.scrub_period_ns > 0
-                                  && (corrupt_pre
-                                     || Fpga.Fpga.loaded_corrupted fpga)
-                                then
-                                  (* the result-integrity check that rides
-                                     along with scrubbing: a computation
-                                     that overlapped a corrupt interval is
-                                     discarded and redone in software *)
-                                  fire_sw_fallback ()
-                                else
-                                (* an unrepaired configuration upset makes
-                                   the fabric compute garbage — silently *)
-                                let outputs =
-                                  if corrupt_pre then
-                                    List.map Token.garble outputs
-                                  else outputs
-                                in
-                                List.iter2
-                                  (fun c token ->
-                                    send ~master:"efpga" name c token)
-                                  t.Task_graph.outputs outputs)
-                          end
-                    end)
-          end
-        in
-        let rec rounds () =
-          List.iter fire_once sources;
-          let live =
-            List.exists
-              (fun (t : Task_graph.task) ->
-                not (Hashtbl.mem ended t.Task_graph.name))
-              sources
-          in
-          if live then begin
-            List.iter fire_once cpu_rest;
-            rounds ()
-          end
-        in
-        rounds ();
-        (* drain-time voter scan: an upset that lands after the last
-           datapath use would otherwise go unobserved (periodic
-           scrubbing is off in masked mode); the scan repairs it
-           latency-free before the platform retires *)
-        if config.masked then ignore (Fpga.Fpga.vote_and_repair fpga);
-        cpu_done := true)
+  (* an FPGA-resident task is a synchronous call from the software *)
+  let fire_fpga (p : Level2.platform) ctx (t : Task_graph.task) inputs
+      (firing : Task_graph.firing) =
+    let name = t.Task_graph.name in
+    (* graceful degradation: once recovery has given up on the fabric,
+       the task's software implementation computes the very same tokens,
+       only slower *)
+    let fire_sw_fallback () =
+      incr sw_fallbacks;
+      p.run_sw t firing
+    in
+    if not (Fpga.Fpga.is_healthy fpga) then fire_sw_fallback ()
+    else begin
+      match
+        calls := name :: !calls;
+        (* reconfigure unless the SW omitted the load (bug injection):
+           then the device check fires *)
+        if not (List.mem name omit_load_for) then
+          Fpga.Fpga.reconfigure
+            ~verify_previous:(config.scrub_period_ns > 0)
+            fpga ~bus:p.bus ~master:"cpu" ctx;
+        Fpga.Fpga.require fpga name
+      with
+      | exception Fpga.Fpga.Download_failed _ ->
+          (* persistent bitstream corruption: the context cannot be
+             brought up — degrade *)
+          Fpga.Fpga.mark_unhealthy fpga;
+          fire_sw_fallback ()
+      | () when not (Fpga.Fpga.responding fpga name) ->
+          (* wedged resource: the watchdog expires and the controller
+             declares the fabric sick *)
+          Sim.Process.wait (Sim.Time.ns config.watchdog_ns);
+          Fpga.Fpga.note_watchdog fpga;
+          Fpga.Fpga.mark_unhealthy fpga;
+          fire_sw_fallback ()
+      | () -> (
+          (* ship operands, compute, ship results *)
+          match
+            List.iter
+              (fun token ->
+                Tlm.Bus.transfer p.bus
+                  (Tlm.Transaction.make ~master:"cpu" ~target:"efpga"
+                     ~kind:Tlm.Transaction.Write ~bytes:(Token.bytes token)))
+              inputs
+          with
+          | exception Tlm.Bus.Transfer_failed _ ->
+              (* operands never reached the fabric; the CPU still holds
+                 them — degrade *)
+              Fpga.Fpga.mark_unhealthy fpga;
+              fire_sw_fallback ()
+          | () ->
+              let corrupt_pre = Fpga.Fpga.loaded_corrupted fpga in
+              let cycles =
+                Annotation.cycles config.level2.Level2.annotation
+                  ~target:Annotation.Fpga ~weight:firing.Task_graph.work
+              in
+              Sim.Process.wait (Sim.Time.ns (cycles * config.fpga_period_ns));
+              if config.masked then begin
+                (* TMR: the majority vote at readout masks a single upset
+                   copy — the result is correct and the dissenting copy
+                   is repaired in the shadow of continued operation.  Only
+                   a multi-copy corruption defeats the vote; then the
+                   result is discarded and redone in software. *)
+                match Fpga.Fpga.vote_and_repair fpga with
+                | `Corrupt -> fire_sw_fallback ()
+                | `Clean | `Masked ->
+                    p.send ~master:"efpga" t firing.Task_graph.outputs
+              end
+              else if
+                config.scrub_period_ns > 0
+                && (corrupt_pre || Fpga.Fpga.loaded_corrupted fpga)
+              then
+                (* the result-integrity check that rides along with
+                   scrubbing: a computation that overlapped a corrupt
+                   interval is discarded and redone in software *)
+                fire_sw_fallback ()
+              else
+                (* an unrepaired configuration upset makes the fabric
+                   compute garbage — silently *)
+                let outputs =
+                  if corrupt_pre then
+                    List.map Token.garble firing.Task_graph.outputs
+                  else firing.Task_graph.outputs
+                in
+                p.send ~master:"efpga" t outputs)
+    end
   in
-  (* periodic readback scrubbing: detects and repairs configuration
-     upsets; stops at the first wake after the schedule has drained *)
-  let spawn_scrubber () =
+  (* drain-time voter scan: an upset that lands after the last datapath
+     use would otherwise go unobserved (periodic scrubbing is off in
+     masked mode); the scan repairs it latency-free before the platform
+     retires *)
+  let drain () =
+    if config.masked then ignore (Fpga.Fpga.vote_and_repair fpga)
+  in
+  let before_run (p : Level2.platform) =
+    (* periodic readback scrubbing: detects and repairs configuration
+       upsets; stops at the first wake after the schedule has drained *)
     if config.scrub_period_ns > 0 then
-      Sim.Kernel.spawn kernel ~name:"scrubber" (fun () ->
+      Sim.Kernel.spawn p.kernel ~name:"scrubber" (fun () ->
           let rec loop () =
             Sim.Process.wait (Sim.Time.ns config.scrub_period_ns);
-            if not !cpu_done then begin
-              ignore (Fpga.Fpga.scrub fpga ~bus ~master:"scrubber");
+            if not (p.cpu_done ()) then begin
+              ignore (Fpga.Fpga.scrub fpga ~bus:p.bus ~master:"scrubber");
               loop ()
             end
           in
-          loop ())
+          loop ());
+    (* fault-injection tap: campaigns install bus/download hooks and
+       spawn saboteur processes here, after the platform exists and
+       before it runs.  [None] is the exact pre-fault code path. *)
+    Option.iter (fun install -> install ~bus:p.bus ~fpga ~kernel:p.kernel) tap
   in
-  List.iter
-    (fun (t : Task_graph.task) ->
-      match Mapping.target_of mapping t.Task_graph.name with
-      | Mapping.Hw -> spawn_hw t
-      | Mapping.Sw | Mapping.Fpga _ -> ())
-    graph.Task_graph.tasks;
-  spawn_cpu ();
-  spawn_scrubber ();
-  (* fault-injection tap: campaigns install bus/download hooks and spawn
-     saboteur processes here, after the platform exists and before it
-     runs.  [None] is the exact pre-fault code path. *)
-  (match tap with
-  | Some install -> install ~bus ~fpga ~kernel
-  | None -> ());
-  Sim.Kernel.run kernel;
-  let kernel_stats = Sim.Kernel.stats kernel in
+  let r =
+    Level2.simulate ~config:config.level2 ~ecc:config.masked ~channel_loss
+      ~fire_fpga ~drain ~before_run graph mapping
+  in
+  let schedule =
+    List.filter_map
+      (fun (t : Task_graph.task) ->
+        match Mapping.target_of mapping t.Task_graph.name with
+        | Mapping.Sw | Mapping.Fpga _ -> Some t.Task_graph.name
+        | Mapping.Hw -> None)
+      (Task_graph.topological_order graph)
+  in
   {
-    trace;
-    kernel_stats;
-    bus_report = Tlm.Bus.report bus;
-    cpu_stats = Tlm.Cpu.stats cpu;
+    trace = r.Level2.trace;
+    kernel_stats = r.Level2.kernel_stats;
+    bus_report = r.Level2.bus_report;
+    cpu_stats = r.Level2.cpu_stats;
     fpga_stats = Fpga.Fpga.stats fpga;
-    latency_ns = Sim.Time.to_ns kernel_stats.Sim.Kernel.final_time;
+    latency_ns = r.Level2.latency_ns;
     call_sequence = List.rev !calls;
     sw_fallbacks = !sw_fallbacks;
-    channel_occupancy =
-      Hashtbl.fold (fun name f acc -> (name, Sim.Fifo.occupancy f) :: acc)
-        fifos []
-      |> List.sort compare;
-    instrumented_sw =
-      instrumented_program ~omit_load_for
-        (List.map (fun (t : Task_graph.task) -> t.Task_graph.name) schedule)
-        mapping;
+    channel_occupancy = r.Level2.channel_occupancy;
+    instrumented_sw = instrumented_program ~omit_load_for schedule mapping;
     config_info = config_info_of mapping;
   }

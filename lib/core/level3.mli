@@ -5,7 +5,9 @@
     modelled as real burst traffic, plus programming time) whenever the
     next call needs a context that is not loaded.  The run records the
     dynamic resource-call sequence and emits the instrumented mini-C
-    program that SymbC consumes. *)
+    program that SymbC consumes.  The platform is level 2's
+    ([Level2.simulate]) with the fabric added: on an FPGA-free mapping
+    [run] is [Level2.run], event for event. *)
 
 type config = {
   level2 : Level2.config;
@@ -57,7 +59,6 @@ type result = {
 
 val simulation_speed_khz : bus_period_ns:int -> result -> float
 
-val build_fpga : config -> Mapping.t -> Symbad_fpga.Fpga.t
 val config_info_of : Mapping.t -> Symbad_symbc.Config_info.t
 
 val instrumented_program :

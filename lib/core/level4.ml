@@ -252,35 +252,40 @@ type result = { modules : module_report list }
 
 let module_verdicts r = [ r.lint_verdict; r.mc_verdict; r.pcc_verdict ]
 
-(* The three consolidated verdict rows of a module run — one shape for
-   the flow report, the [verify rtl] CLI and the cache (historically
-   each consumer rebuilt these from the rich reports by hand). *)
+(* The three consolidated verdict rows of a module, each built in one
+   place for the flow report, the [verify rtl] CLI, the cache and the
+   per-engine drivers of [Engines]. *)
+let lint_name = Printf.sprintf "lint %s"
+let mc_name = Printf.sprintf "model checking %s"
+let pcc_name = Printf.sprintf "PCC completeness %s"
+
+let lint_row ?host_seconds ~module_name report =
+  (* the adapter names the netlist; the flow names the module *)
+  { (Verdict.of_lint ?host_seconds report) with
+    Verdict.name = lint_name module_name }
+
+let mc_row ?host_seconds ~module_name reports =
+  let all = Mc.Engine.all_proved reports in
+  Verdict.make ~name:(mc_name module_name) ~passed:all ?host_seconds
+    ~detail:(Printf.sprintf "%d properties" (List.length reports))
+    (if all then Verdict.Proved
+     else Verdict.Inconclusive "not all properties proved")
+
+let pcc_row ?host_seconds ~module_name report =
+  { (Verdict.of_pcc ?host_seconds report) with
+    Verdict.name = pcc_name module_name }
+
 let results_verdicts ~module_name (res : module_results) =
-  let lint_verdict =
-    (* the adapter names the netlist; the flow names the module *)
-    { (Verdict.of_lint res.lint) with
-      Verdict.name = Printf.sprintf "lint %s" module_name }
-  in
   let skipped name =
     Verdict.make ~name ~detail:"static lint already disproved the module"
       (Verdict.Inconclusive "skipped: lint gate")
   in
-  let mc_verdict =
-    let name = Printf.sprintf "model checking %s" module_name in
-    if res.gated then skipped name
-    else
-      Verdict.make ~name ~passed:res.all_proved
-        ~detail:(Printf.sprintf "%d properties" (List.length res.mc_reports))
-        (if res.all_proved then Verdict.Proved
-         else Verdict.Inconclusive "not all properties proved")
-  in
-  let pcc_verdict =
-    let name = Printf.sprintf "PCC completeness %s" module_name in
+  ( lint_row ~module_name res.lint,
+    (if res.gated then skipped (mc_name module_name)
+     else mc_row ~module_name res.mc_reports),
     match res.pcc with
-    | Some pcc -> { (Verdict.of_pcc pcc) with Verdict.name = name }
-    | None -> skipped name
-  in
-  (lint_verdict, mc_verdict, pcc_verdict)
+    | Some pcc -> pcc_row ~module_name pcc
+    | None -> skipped (pcc_name module_name) )
 
 (* --- the verdict cache ------------------------------------------------ *)
 

@@ -53,6 +53,22 @@ type module_report = {
 
 type result = { modules : module_report list }
 
+val lint_row :
+  ?host_seconds:float -> module_name:string -> Symbad_lint.Lint.report ->
+  Verdict.t
+(** The "lint M" row of a module's static gate. *)
+
+val mc_row :
+  ?host_seconds:float -> module_name:string ->
+  Symbad_mc.Engine.report list -> Verdict.t
+(** The "model checking M" row: [Proved] iff every property proved. *)
+
+val pcc_row :
+  ?host_seconds:float -> module_name:string -> Symbad_pcc.Pcc.report ->
+  Verdict.t
+(** The "PCC completeness M" row ({!Verdict.of_pcc} under the module's
+    name). *)
+
 val module_verdicts : module_report -> Verdict.t list
 (** [[lint; mc; pcc]] — the rows in table order. *)
 

@@ -133,6 +133,18 @@ let rec eval ~input ~reg e =
   | Concat (hi, lo) -> Bitvec.concat (recur hi) (recur lo)
 
 (* All input / register names mentioned. *)
+let rec map_leaves ~input ~reg e =
+  let go = map_leaves ~input ~reg in
+  match e with
+  | Const _ -> e
+  | Input n -> input n
+  | Reg n -> reg n
+  | Unop (op, a) -> Unop (op, go a)
+  | Binop (op, a, b) -> Binop (op, go a, go b)
+  | Mux (s, t, f) -> Mux (go s, go t, go f)
+  | Slice (a, hi, lo) -> Slice (go a, hi, lo)
+  | Concat (a, b) -> Concat (go a, go b)
+
 let rec fold_names f acc e =
   match e with
   | Const _ -> acc

@@ -59,6 +59,11 @@ val width :
 
 val eval : input:(string -> Bitvec.t) -> reg:(string -> Bitvec.t) -> t -> Bitvec.t
 
+val map_leaves : input:(string -> t) -> reg:(string -> t) -> t -> t
+(** [map_leaves ~input ~reg e] replaces every [Input n] leaf of [e] by
+    [input n] and every [Reg n] leaf by [reg n], keeping the rest of the
+    tree as it is. *)
+
 val fold_names :
   ('a -> [ `Input of string | `Reg of string ] -> 'a) -> 'a -> t -> 'a
 

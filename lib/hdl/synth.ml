@@ -63,16 +63,8 @@ let registered df =
   let comb = combinational df in
   let in_reg n = n ^ "$q" in
   (* rewrite the combinational outputs to read the sampled inputs *)
-  let rec sample (e : Expr.t) =
-    match e with
-    | Expr.Const _ -> e
-    | Expr.Input n -> Expr.Reg (in_reg n)
-    | Expr.Reg _ -> e
-    | Expr.Unop (op, a) -> Expr.Unop (op, sample a)
-    | Expr.Binop (op, a, b) -> Expr.Binop (op, sample a, sample b)
-    | Expr.Mux (s, t, f) -> Expr.Mux (sample s, sample t, sample f)
-    | Expr.Slice (a, hi, lo) -> Expr.Slice (sample a, hi, lo)
-    | Expr.Concat (a, b) -> Expr.Concat (sample a, sample b)
+  let sample =
+    Expr.map_leaves ~input:(fun n -> Expr.reg (in_reg n)) ~reg:Expr.reg
   in
   let input_registers =
     List.map

@@ -19,16 +19,8 @@ let majority a b c =
   Expr.or_ (Expr.or_ (Expr.and_ a b) (Expr.and_ a c)) (Expr.and_ b c)
 
 (* Redirect every register read to copy [i]; inputs are shared. *)
-let rec rename_regs i = function
-  | (Expr.Const _ | Expr.Input _) as e -> e
-  | Expr.Reg n -> Expr.Reg (copy_reg i n)
-  | Expr.Unop (op, a) -> Expr.Unop (op, rename_regs i a)
-  | Expr.Binop (op, a, b) ->
-      Expr.Binop (op, rename_regs i a, rename_regs i b)
-  | Expr.Mux (s, t, e) ->
-      Expr.Mux (rename_regs i s, rename_regs i t, rename_regs i e)
-  | Expr.Slice (a, hi, lo) -> Expr.Slice (rename_regs i a, hi, lo)
-  | Expr.Concat (a, b) -> Expr.Concat (rename_regs i a, rename_regs i b)
+let rename_regs i =
+  Expr.map_leaves ~input:Expr.input ~reg:(fun n -> Expr.reg (copy_reg i n))
 
 let reduce op = function
   | [] -> invalid_arg "Tmr.reduce: empty"

@@ -324,6 +324,53 @@ let level3_bus_wait_under_contention () =
   check_bool "several masters" true (List.length masters >= 3);
   check_bool "cpu among masters" true (List.mem_assoc "cpu" masters)
 
+(* Level 3 is level 2 plus the fabric: on an FPGA-free mapping both
+   levels run the same platform, event for event.  The figures for the
+   paper's mappings are pinned so the platform's timing cannot drift. *)
+let level3_refines_level2_platform () =
+  let _, g, _, m2 = face_setup () in
+  List.iter
+    (fun m ->
+      let l2 = Level2.run g m and l3 = Level3.run g m in
+      check_bool "trace entries" true
+        (Sim.Trace.entries l2.Level2.trace = Sim.Trace.entries l3.Level3.trace);
+      check "latency" l2.Level2.latency_ns l3.Level3.latency_ns;
+      check_bool "bus report" true
+        (l2.Level2.bus_report = l3.Level3.bus_report);
+      check_bool "cpu stats" true (l2.Level2.cpu_stats = l3.Level3.cpu_stats);
+      check_bool "occupancy" true
+        (l2.Level2.channel_occupancy = l3.Level3.channel_occupancy);
+      check "events" l2.Level2.kernel_stats.Sim.Kernel.events
+        l3.Level3.kernel_stats.Sim.Kernel.events;
+      check "processes" l2.Level2.kernel_stats.Sim.Kernel.processes
+        l3.Level3.kernel_stats.Sim.Kernel.processes)
+    [ m2; Mapping.all_sw g ];
+  let l2 = Level2.run g m2 in
+  check "l2 latency" 2528690 l2.Level2.latency_ns;
+  check "l2 events" 112 l2.Level2.kernel_stats.Sim.Kernel.events;
+  check "l2 bus transactions" 39
+    l2.Level2.bus_report.Symbad_tlm.Bus.transactions;
+  check "l2 bus bytes" 22872 l2.Level2.bus_report.Symbad_tlm.Bus.data_bytes;
+  check "l2 cpu busy" 1558080 l2.Level2.cpu_stats.Symbad_tlm.Cpu.busy_ns;
+  let l3 = Level3.run g (Mapping.refine_to_fpga m2 Face_app.level3_refinement) in
+  check "l3 latency" 2925878 l3.Level3.latency_ns;
+  check "l3 events" 5297 l3.Level3.kernel_stats.Sim.Kernel.events;
+  check "l3 bus transactions" 5229
+    l3.Level3.bus_report.Symbad_tlm.Bus.transactions;
+  check "l3 bus bytes" 24060 l3.Level3.bus_report.Symbad_tlm.Bus.data_bytes;
+  check "l3 bitstream bytes" 41472
+    l3.Level3.bus_report.Symbad_tlm.Bus.bitstream_bytes;
+  check "l3 cpu busy" 1558080 l3.Level3.cpu_stats.Symbad_tlm.Cpu.busy_ns;
+  Alcotest.(check string) "l3 fpga stats"
+    "reconfigs=6 noop=0 bitstream=41472B reconfig_time=373248ns calls=6 \
+     crc_mismatches=0 retried_dl=0 failed_dl=0 scrubs=0 scrub_reloads=0 \
+     watchdog=0 copies=1 disagreements=0 targeted=0 repair=0B area=900"
+    (Format.asprintf "%a" Symbad_fpga.Fpga.pp_stats l3.Level3.fpga_stats);
+  Alcotest.(check (list string)) "l3 call sequence"
+    [ "DISTANCE"; "ROOT"; "DISTANCE"; "ROOT"; "DISTANCE"; "ROOT" ]
+    l3.Level3.call_sequence;
+  check "l3 sw fallbacks" 0 l3.Level3.sw_fallbacks
+
 let explore_grades_have_bitstream_only_at_level3 () =
   let _, g, l1, m2 = face_setup () in
   let task_area = Level3.default_task_area in
@@ -563,6 +610,8 @@ let suite =
       level2_reports_occupancy;
     Alcotest.test_case "level3 bus masters" `Quick
       level3_bus_wait_under_contention;
+    Alcotest.test_case "level3 refines the level2 platform" `Quick
+      level3_refines_level2_platform;
     Alcotest.test_case "explore bitstream accounting" `Quick
       explore_grades_have_bitstream_only_at_level3;
     QCheck_alcotest.to_alcotest qcheck_levels_agree_on_random_pipelines;

@@ -372,6 +372,54 @@ let qcheck_blast_matches_eval =
           Unroll.bits_value solver bits = want
       | Symbad_sat.Solver.Unsat | Symbad_sat.Solver.Unknown -> false)
 
+(* qcheck: the leaf rewrite keeps the tree shape.  Identity leaf
+   functions return the expression unchanged, and renaming the leaves
+   renames exactly the names [fold_names] visits, in the same order. *)
+let gen_expr =
+  QCheck.Gen.(
+    let name = map (Printf.sprintf "n%d") (int_bound 3) in
+    sized
+    @@ fix (fun self n ->
+           let leaf =
+             oneof
+               [
+                 map2 (fun w v -> Expr.const ~width:(1 + w) v) (int_bound 7)
+                   (int_bound 255);
+                 map Expr.input name;
+                 map Expr.reg name;
+               ]
+           in
+           if n <= 0 then leaf
+           else
+             let sub = self (n / 2) in
+             frequency
+               [
+                 (1, leaf);
+                 (1, map Expr.not_ sub);
+                 (2, map2 Expr.add sub sub);
+                 (1, map3 Expr.mux sub sub sub);
+                 (1, map (fun e -> Expr.Slice (e, 1, 0)) sub);
+                 (1, map2 Expr.concat sub sub);
+               ]))
+
+let qcheck_map_leaves_keeps_shape =
+  QCheck.Test.make ~name:"map_leaves keeps the tree shape" ~count:300
+    (QCheck.make ~print:(Fmt.to_to_string Expr.pp) gen_expr)
+    (fun e ->
+      let names e = Expr.fold_names (fun acc n -> n :: acc) [] e in
+      let renamed =
+        Expr.map_leaves
+          ~input:(fun n -> Expr.input ("i." ^ n))
+          ~reg:(fun n -> Expr.reg ("r." ^ n))
+          e
+      in
+      Expr.map_leaves ~input:Expr.input ~reg:Expr.reg e = e
+      && names renamed
+         = List.map
+             (function
+               | `Input n -> `Input ("i." ^ n) | `Reg n -> `Reg ("r." ^ n))
+             (names e))
+
 (* --- New IP datapaths vs the reference image library --- *)
 
 let sobel_window_matches_reference () =
@@ -682,4 +730,5 @@ let suite =
     Alcotest.test_case "vcd structure" `Quick vcd_structure;
     Alcotest.test_case "vcd change-only dumps" `Quick vcd_change_only_dumps;
     QCheck_alcotest.to_alcotest qcheck_blast_matches_eval;
+    QCheck_alcotest.to_alcotest qcheck_map_leaves_keeps_shape;
   ]

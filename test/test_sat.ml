@@ -284,23 +284,6 @@ let tseitin_constant_folding () =
     (let x = Tseitin.fresh ctx in
      Tseitin.xor_gate ctx x x)
 
-(* --- Dimacs --- *)
-
-let dimacs_roundtrip () =
-  let p = { Dimacs.nvars = 3; clauses = [ [ 1; -2 ]; [ 2; 3 ]; [ -3 ] ] } in
-  let p' = Dimacs.parse_string (Dimacs.to_string p) in
-  Alcotest.(check int) "nvars" p.Dimacs.nvars p'.Dimacs.nvars;
-  Alcotest.(check (list (list int))) "clauses" p.Dimacs.clauses p'.Dimacs.clauses
-
-let dimacs_parse_comments () =
-  let p =
-    Dimacs.parse_string "c a comment\np cnf 2 2\n1 -2 0\nc another\n2 0\n"
-  in
-  Alcotest.(check int) "nvars" 2 p.Dimacs.nvars;
-  Alcotest.(check (list (list int))) "clauses" [ [ 1; -2 ]; [ 2 ] ]
-    p.Dimacs.clauses;
-  check_bool "solves" true (is_sat (Dimacs.solve p))
-
 (* --- qcheck: random instances vs brute force --- *)
 
 let brute_force nvars clauses =
@@ -486,8 +469,6 @@ let suite =
     Alcotest.test_case "tseitin full adder" `Quick tseitin_full_adder;
     Alcotest.test_case "tseitin constant folding" `Quick
       tseitin_constant_folding;
-    Alcotest.test_case "dimacs roundtrip" `Quick dimacs_roundtrip;
-    Alcotest.test_case "dimacs comments" `Quick dimacs_parse_comments;
     Alcotest.test_case "pinned search: pigeonhole" `Quick pinned_pigeonhole;
     Alcotest.test_case "pinned search: incremental 3-sat" `Quick
       pinned_incremental;
