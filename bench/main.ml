@@ -611,6 +611,47 @@ let guard () =
     (counter "sim.events_dispatched")
     (counter "bus.transactions")
     (Tracer.span_count tracer);
+  (* span structure: every Par dispatch span nests under the span open
+     at the call, and the Chrome export draws flow arrows for the
+     dispatch -> job-root links only *)
+  let module Json = Symbad_obs.Json in
+  let arg k e = Option.bind (Json.member "args" e) (Json.member k) in
+  let str k e = Option.bind (Json.member k e) Json.to_str in
+  let events =
+    Json.parse_exn (Tracer.to_chrome_json tracer)
+    |> Json.member "traceEvents" |> Fun.flip Option.bind Json.to_list
+    |> Option.value ~default:[]
+  in
+  let spans = List.filter (fun e -> str "ph" e = Some "X") events in
+  let job_root e = str "cat" e = Some "par" && arg "chunk" e <> None in
+  let dispatches =
+    List.filter (fun e -> str "cat" e = Some "par" && not (job_root e)) spans
+  in
+  check "par dispatch spans present" (dispatches <> []);
+  check "every par dispatch span has a parent"
+    (List.for_all (fun e -> arg "parent_span_id" e <> None) dispatches);
+  let by_id = Hashtbl.create 1024 in
+  List.iter
+    (fun e ->
+      Option.iter
+        (fun id -> Hashtbl.replace by_id id e)
+        (Option.bind (arg "span_id" e) Json.to_number))
+    spans;
+  let arrow_ends = List.filter (fun e -> str "ph" e = Some "f") events in
+  check "every flow arrow ends on a par job root"
+    (List.for_all
+       (fun e ->
+         match Option.bind (Json.member "id" e) Json.to_number with
+         | Some id -> (
+             match Hashtbl.find_opt by_id id with
+             | Some span -> job_root span
+             | None -> false)
+         | None -> false)
+       arrow_ends);
+  check "one flow arrow per dispatched job"
+    (List.length arrow_ends = counter "par.jobs_dispatched");
+  Format.printf "par dispatches=%d flow arrows=%d@." (List.length dispatches)
+    (List.length arrow_ends);
   (* two-domain trace-merge smoke: telemetry emitted on a worker domain
      must survive the buffer merge, land on its own lane track and stay
      parent-linked to the dispatch span.  The two jobs rendezvous (with

@@ -10,13 +10,14 @@
    The tracer, registry and sinks are not safe for concurrent mutation,
    so direct writes belong to one domain: the one that last called
    [set_enabled true].  Every other domain records into a per-domain
-   [Telemetry_buffer.t] installed by the dispatcher ([with_buffer] — Par installs
-   one per job), and the dispatcher replays the buffers into the global
-   state at the fan-in ([merge_buffer]) in job order, so merged metrics
-   are identical at any pool width.  A domain that is neither the owner
-   nor running under a buffer drops the emission and counts it
-   ([dropped_count]) so the CLI can warn instead of silently
-   under-reporting. *)
+   [Telemetry_buffer.t] installed by the dispatcher ([with_buffer] — Par
+   installs one per job): spans into the buffer's own tracer, everything
+   else into its op log.  At the fan-in the dispatcher merges the
+   buffers in job order ([merge_buffer]) — spans by [Tracer.absorb],
+   ops by replay — so merged metrics are identical at any pool width.
+   A domain that is neither the owner nor running under a buffer drops
+   the emission and counts it ([dropped_count]) so the CLI can warn
+   instead of silently under-reporting. *)
 
 let enabled_flag = Atomic.make false
 let owner = ref (Domain.self ())
@@ -24,13 +25,6 @@ let owner = ref (Domain.self ())
 (* the per-domain buffer installed by [with_buffer] *)
 let buffer_key : Telemetry_buffer.t option Domain.DLS.key =
   Domain.DLS.new_key (fun () -> None)
-
-(* [set_buffering false] restores the pre-merge behaviour (worker
-   emissions dropped) — kept for the regression test and as an escape
-   hatch if buffering memory ever matters more than completeness. *)
-let buffering_flag = Atomic.make true
-let set_buffering b = Atomic.set buffering_flag b
-let buffering () = Atomic.get buffering_flag
 
 let dropped = Atomic.make 0
 let dropped_count () = Atomic.get dropped
@@ -95,10 +89,7 @@ let event ?(severity = Severity.Info) ?(args = []) ?sim_ns name =
 
 (* --- spans --- *)
 
-type span =
-  | S_none
-  | S_direct of Tracer.span
-  | S_buffered of Telemetry_buffer.t * Telemetry_buffer.open_span
+type span = S_none | S_open of Tracer.t * Tracer.span
 
 let null_span : span = S_none
 
@@ -107,16 +98,16 @@ let begin_span ?track ?cat ?args ?sim_ns name =
   | Off ->
       note_drop ();
       S_none
-  | Direct ->
-      S_direct (Tracer.begin_span !tracer_ref ?track ?cat ?args ?sim_ns name)
-  | Buffered b ->
-      S_buffered (b, Telemetry_buffer.begin_span b ?track ?cat ?args ?sim_ns name)
+  | (Direct | Buffered _) as m ->
+      let tr =
+        match m with Buffered b -> Telemetry_buffer.tracer b | _ -> !tracer_ref
+      in
+      S_open (tr, Tracer.begin_span tr ?track ?cat ?args ?sim_ns name)
 
 let end_span ?args ?sim_ns (s : span) =
   match s with
   | S_none -> ()
-  | S_direct s -> Tracer.end_span !tracer_ref ?args ?sim_ns s
-  | S_buffered (b, o) -> Telemetry_buffer.end_span b ?args ?sim_ns o
+  | S_open (tr, s) -> Tracer.end_span tr ?args ?sim_ns s
 
 let span ?track ?cat ?args ?sim_ns name f =
   match mode () with
@@ -156,65 +147,35 @@ let observe name v =
 
 (* --- the merge --- *)
 
+let replay ~lane (op : Telemetry_buffer.op) =
+  let m = !metrics_ref in
+  match op with
+  | Counter { name; by } -> Metrics.incr ~by (Metrics.counter m name)
+  | Gauge { name; x; value } -> Metrics.set ?x (Metrics.gauge m name) value
+  | Observe { name; value } -> Metrics.observe (Metrics.histogram m name) value
+  | Ev e ->
+      List.iter (fun (s : Sink.t) -> s.Sink.emit e) !sinks;
+      if Severity.compare e.Event.severity Severity.Info >= 0 then
+        Tracer.instant !tracer_ref
+          ~track:(Tracer.lane_track ~lane Tracer.default_track ~top_level:true)
+          ~severity:e.Event.severity ~args:e.Event.args ?sim_ns:e.Event.sim_ns
+          ~ts_us:e.Event.host_us e.Event.name
+
 let merge_buffer ?parent ~lane buf =
+  let absorb_spans into =
+    let parent =
+      match parent with
+      | Some (S_open (tr, s)) when tr == into -> Some s
+      | Some (S_open _ | S_none) | None -> None
+    in
+    Tracer.absorb into ~lane ?parent (Telemetry_buffer.tracer buf)
+  in
   match mode () with
   | Off -> () (* telemetry was turned off mid-flight; nothing to merge into *)
   | Buffered outer ->
-      (* nested Par map: fold the job buffer into the dispatcher's own
-         buffer; parents resolve when the outer buffer itself merges *)
-      let parent_local =
-        match parent with
-        | Some (S_buffered (b, o)) when b == outer ->
-            Some (Telemetry_buffer.open_span_id o)
-        | _ -> None
-      in
-      Telemetry_buffer.absorb outer ~lane ?parent:parent_local buf
+      (* nested Par map: the ops replay when the outer buffer merges *)
+      absorb_spans (Telemetry_buffer.tracer outer);
+      Telemetry_buffer.absorb outer buf
   | Direct ->
-      let t = !tracer_ref in
-      let m = !metrics_ref in
-      let base = Tracer.reserve_ids t (Telemetry_buffer.span_ids buf) in
-      let parent_global =
-        match parent with
-        | Some (S_direct s) -> Some (Tracer.span_id s)
-        | _ -> None
-      in
-      List.iter
-        (fun (op : Telemetry_buffer.op) ->
-          match op with
-          | Telemetry_buffer.Span s ->
-              let top = s.Telemetry_buffer.b_parent = None in
-              let parent =
-                match s.Telemetry_buffer.b_parent with
-                | None -> parent_global
-                | Some (Telemetry_buffer.Local i) -> Some (base + i)
-                | Some (Telemetry_buffer.Global g) -> Some g
-              in
-              Tracer.add_completed t
-                {
-                  Tracer.id = base + s.Telemetry_buffer.b_id;
-                  parent;
-                  name = s.Telemetry_buffer.b_name;
-                  cat = s.Telemetry_buffer.b_cat;
-                  track =
-                    Telemetry_buffer.lane_track ~lane s.Telemetry_buffer.b_track ~top_level:top;
-                  depth = s.Telemetry_buffer.b_depth;
-                  start_us = s.Telemetry_buffer.b_start_us;
-                  dur_us = s.Telemetry_buffer.b_dur_us;
-                  sim_start_ns = s.Telemetry_buffer.b_sim_start_ns;
-                  sim_dur_ns = s.Telemetry_buffer.b_sim_dur_ns;
-                  args = s.Telemetry_buffer.b_args;
-                }
-          | Telemetry_buffer.Counter { name; by } ->
-              Metrics.incr ~by (Metrics.counter m name)
-          | Telemetry_buffer.Gauge { name; x; value } ->
-              Metrics.set ?x (Metrics.gauge m name) value
-          | Telemetry_buffer.Observe { name; value } ->
-              Metrics.observe (Metrics.histogram m name) value
-          | Telemetry_buffer.Ev e ->
-              List.iter (fun (s : Sink.t) -> s.Sink.emit e) !sinks;
-              if Severity.compare e.Event.severity Severity.Info >= 0 then
-                Tracer.instant t
-                  ~track:(Telemetry_buffer.lane_track ~lane "flow" ~top_level:true)
-                  ~severity:e.Event.severity ~args:e.Event.args
-                  ?sim_ns:e.Event.sim_ns ~ts_us:e.Event.host_us e.Event.name)
-        (Telemetry_buffer.ops buf)
+      absorb_spans !tracer_ref;
+      List.iter (replay ~lane) (Telemetry_buffer.ops buf)

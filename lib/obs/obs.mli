@@ -9,8 +9,9 @@
     (the one that last called [set_enabled true]).  Other domains record
     into a per-domain {!Telemetry_buffer.t} installed by their dispatcher
     ({!with_buffer} — [Par] installs one per job) and the dispatcher
-    replays the buffers at the fan-in ({!merge_buffer}) in job order, so
-    merged metrics are byte-identical at any pool width.  Emissions from
+    merges the buffers at the fan-in ({!merge_buffer}) in job order, so
+    merged metrics are byte-identical at any pool width.  Spans nest by
+    {!Tracer}'s one rule wherever they are recorded.  Emissions from
     a domain with neither role are dropped and counted
     ({!dropped_count}). *)
 
@@ -40,14 +41,6 @@ val reset : unit -> unit
     not change the enabled flag. *)
 
 (** {1 Cross-domain buffering} *)
-
-val set_buffering : bool -> unit
-(** [set_buffering false] disables per-job buffering in [Par] (worker
-    emissions are dropped and counted, as before the merge existed) —
-    regression-test escape hatch.  Default: enabled. *)
-
-val buffering : unit -> bool
-(** Whether per-job buffering is on. *)
 
 val dropped_count : unit -> int
 (** Emissions dropped since the last {!reset} because they came from a
@@ -101,14 +94,15 @@ val with_buffer : Telemetry_buffer.t -> (unit -> 'a) -> 'a
     exit).  [Par] wraps each job in this. *)
 
 val merge_buffer : ?parent:span -> lane:int -> Telemetry_buffer.t -> unit
-(** Replay a buffer into the caller's telemetry target: the global
+(** Merge a buffer into the caller's telemetry target: the global
     tracer/registry on the owner domain, or the caller's own buffer
-    when Par maps nest.  Top-level buffered spans are parented to
-    [parent] (the dispatch span) and placed on track ["lane<lane>"];
-    nested spans keep their original track under a ["lane<lane>/"]
-    prefix.  Counter deltas, gauge samples, histogram observations and
-    events replay in recorded order — merging buffers in job-dispatch
-    order makes the merged registry deterministic. *)
+    when Par maps nest.  Spans move by {!Tracer.absorb}: the buffer's
+    root spans are parented to [parent] (the dispatch span) and placed
+    on track ["lane<lane>"]; nested spans keep their original track
+    under a ["lane<lane>/"] prefix.  Counter deltas, gauge samples,
+    histogram observations and events replay in recorded order —
+    merging buffers in job-dispatch order makes the merged registry
+    deterministic. *)
 
 (** {1 Metric shorthands} *)
 

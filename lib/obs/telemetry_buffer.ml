@@ -3,122 +3,25 @@
 
    The global tracer and metrics registry are single-domain state, so a
    Par worker cannot write to them directly.  Instead the dispatching
-   domain installs one [Buffer.t] per job (via [Obs.with_buffer]); every
-   instrumentation call made while the buffer is installed appends a
-   small replayable op — a completed span, a counter delta, a gauge
-   sample, a histogram observation, or a structured event — and after
-   the fan-in the dispatcher merges the buffers back in job order
-   ([Obs.merge_buffer]).  Ops carry buffer-local span ids; the merge
-   remaps them onto the target (tracer ids, or the outer buffer's ids
-   when Par maps nest), so parent links survive.
-
-   Spans recorded here form a single dynamic stack per buffer: a span
-   begun while another is open is its causal child even across tracks,
-   which matches the one-job-one-fiber execution model.  Top-level spans
-   (no parent inside the buffer) are parented to the dispatch span at
-   merge time and placed on a per-lane track. *)
-
-type parent = Local of int | Global of int
-
-type span_op = {
-  b_id : int;
-  b_parent : parent option;
-  b_name : string;
-  b_cat : string;
-  b_track : string;  (* original track label, before lane prefixing *)
-  b_depth : int;
-  b_start_us : float;
-  b_dur_us : float;
-  b_sim_start_ns : int option;
-  b_sim_dur_ns : int option;
-  b_args : (string * Json.t) list;
-}
+   domain installs one buffer per job (via [Obs.with_buffer]).  Spans
+   begun while it is installed go to the buffer's own [Tracer.t], which
+   the merge moves over with [Tracer.absorb]; every other emission
+   appends a small replayable op — a counter delta, a gauge sample, a
+   histogram observation, or a structured event — which the dispatcher
+   replays after the fan-in in job order ([Obs.merge_buffer]).  Replaying
+   samples, rather than merging registries, keeps gauge [x] positions
+   and float histogram sums bit-identical to a sequential run. *)
 
 type op =
-  | Span of span_op
   | Counter of { name : string; by : int }
   | Gauge of { name : string; x : float option; value : float }
   | Observe of { name : string; value : int }
   | Ev of Event.t
 
-type open_span = {
-  o_id : int;
-  o_parent : parent option;
-  o_name : string;
-  o_cat : string;
-  o_track : string;
-  o_depth : int;
-  o_start_us : float;
-  o_sim_start_ns : int option;
-  o_args : (string * Json.t) list;
-}
+type t = { tracer : Tracer.t; mutable ops : op list  (* newest first *) }
 
-type t = {
-  mutable ops : op list;  (* newest first *)
-  mutable next_id : int;
-  mutable open_stack : int list;  (* dynamic stack of open span ids *)
-  track_depths : (string, int) Hashtbl.t;
-}
-
-let create () =
-  { ops = []; next_id = 0; open_stack = []; track_depths = Hashtbl.create 4 }
-
-let now_us () = Unix.gettimeofday () *. 1e6
-
-let default_track = Tracer.default_track
-
-let begin_span b ?(track = default_track) ?(cat = "app") ?(args = []) ?sim_ns
-    name =
-  let depth =
-    match Hashtbl.find_opt b.track_depths track with Some d -> d | None -> 0
-  in
-  Hashtbl.replace b.track_depths track (depth + 1);
-  let id = b.next_id in
-  b.next_id <- id + 1;
-  let parent =
-    match b.open_stack with [] -> None | p :: _ -> Some (Local p)
-  in
-  b.open_stack <- id :: b.open_stack;
-  {
-    o_id = id;
-    o_parent = parent;
-    o_name = name;
-    o_cat = cat;
-    o_track = track;
-    o_depth = depth;
-    o_start_us = now_us ();
-    o_sim_start_ns = sim_ns;
-    o_args = args;
-  }
-
-let end_span b ?(args = []) ?sim_ns o =
-  (match Hashtbl.find_opt b.track_depths o.o_track with
-  | Some d when d > 0 -> Hashtbl.replace b.track_depths o.o_track (d - 1)
-  | _ -> ());
-  b.open_stack <- List.filter (fun id -> id <> o.o_id) b.open_stack;
-  let sim_dur_ns =
-    match (o.o_sim_start_ns, sim_ns) with
-    | Some a, Some b -> Some (b - a)
-    | _ -> None
-  in
-  b.ops <-
-    Span
-      {
-        b_id = o.o_id;
-        b_parent = o.o_parent;
-        b_name = o.o_name;
-        b_cat = o.o_cat;
-        b_track = o.o_track;
-        b_depth = o.o_depth;
-        b_start_us = o.o_start_us;
-        b_dur_us = now_us () -. o.o_start_us;
-        b_sim_start_ns = o.o_sim_start_ns;
-        b_sim_dur_ns = sim_dur_ns;
-        b_args = o.o_args @ args;
-      }
-    :: b.ops
-
-let open_span_id o = o.o_id
+let create () = { tracer = Tracer.create (); ops = [] }
+let tracer b = b.tracer
 
 let counter b ?(by = 1) name = b.ops <- Counter { name; by } :: b.ops
 let gauge b ?x name value = b.ops <- Gauge { name; x; value } :: b.ops
@@ -126,47 +29,5 @@ let observe b name value = b.ops <- Observe { name; value } :: b.ops
 let event b e = b.ops <- Ev e :: b.ops
 
 let ops b = List.rev b.ops
-let span_ids b = b.next_id
-let op_count b = List.length b.ops
 
-(* The lane prefix applied at merge time: a buffered top-level span goes
-   on the bare lane track, everything below it keeps its original track
-   under the lane.  Nested Par maps prefix again, yielding hierarchical
-   lane paths ("lane1/lane0/m2"). *)
-let lane_track ~lane orig_track ~top_level =
-  if top_level then Printf.sprintf "lane%d" lane
-  else Printf.sprintf "lane%d/%s" lane orig_track
-
-(* Absorb [inner] into [outer] (a nested Par map whose dispatcher was
-   itself running buffered).  Local ids are offset into the outer id
-   space; top-level inner spans are parented to [parent] (an open span
-   of the outer buffer) and moved onto their lane track. *)
-let absorb outer ~lane ?parent inner =
-  let offset = outer.next_id in
-  outer.next_id <- outer.next_id + inner.next_id;
-  let remap = function
-    | Some (Local i) -> Some (Local (i + offset))
-    | (Some (Global _) | None) as p -> p
-  in
-  List.iter
-    (fun op ->
-      let op' =
-        match op with
-        | Span s ->
-            let top = s.b_parent = None in
-            Span
-              {
-                s with
-                b_id = s.b_id + offset;
-                b_parent =
-                  (if top then
-                     match parent with
-                     | Some p -> Some (Local p)
-                     | None -> None
-                   else remap s.b_parent);
-                b_track = lane_track ~lane s.b_track ~top_level:top;
-              }
-        | (Counter _ | Gauge _ | Observe _ | Ev _) as o -> o
-      in
-      outer.ops <- op' :: outer.ops)
-    (ops inner)
+let absorb outer inner = outer.ops <- List.rev_append (ops inner) outer.ops

@@ -1,60 +1,24 @@
-(** Per-domain telemetry buffers: replayable op logs that let [Par]
-    worker domains record spans, counter deltas, gauge/histogram samples
-    and events without touching the single-domain tracer/registry.  The
-    dispatching domain installs one buffer per job
-    ([Obs.with_buffer]) and merges them back in job order after the
-    fan-in ([Obs.merge_buffer]) — see [docs/OBSERVABILITY.md]. *)
+(** Per-domain telemetry buffers: a private span timeline plus a
+    replayable op log, so that [Par] worker domains record spans,
+    counter deltas, gauge/histogram samples and events without touching
+    the single-domain tracer/registry.  The dispatching domain installs
+    one buffer per job ([Obs.with_buffer]) and merges them back in job
+    order after the fan-in ([Obs.merge_buffer]) — see
+    [docs/OBSERVABILITY.md]. *)
 
 type t
 
-type parent = Local of int | Global of int
-(** A span's causal parent: another span of the same buffer ([Local],
-    buffer-local id) or an already-merged tracer span ([Global]). *)
-
-type span_op = {
-  b_id : int;
-  b_parent : parent option;
-  b_name : string;
-  b_cat : string;
-  b_track : string;
-  b_depth : int;
-  b_start_us : float;
-  b_dur_us : float;
-  b_sim_start_ns : int option;
-  b_sim_dur_ns : int option;
-  b_args : (string * Json.t) list;
-}
-
 type op =
-  | Span of span_op
   | Counter of { name : string; by : int }
   | Gauge of { name : string; x : float option; value : float }
   | Observe of { name : string; value : int }
   | Ev of Event.t
 
-type open_span
-
 val create : unit -> t
 (** An empty buffer. *)
 
-val begin_span :
-  t ->
-  ?track:string ->
-  ?cat:string ->
-  ?args:(string * Json.t) list ->
-  ?sim_ns:int ->
-  string ->
-  open_span
-(** Open a span; its parent is the innermost span still open in this
-    buffer (one dynamic stack per buffer — a buffered job is one fiber,
-    so dynamic nesting is causality even across tracks). *)
-
-val end_span :
-  t -> ?args:(string * Json.t) list -> ?sim_ns:int -> open_span -> unit
-(** Close the span and record it as an op. *)
-
-val open_span_id : open_span -> int
-(** The buffer-local id of an open span. *)
+val tracer : t -> Tracer.t
+(** The buffer's span timeline; spans nest by {!Tracer}'s one rule. *)
 
 val counter : t -> ?by:int -> string -> unit
 val gauge : t -> ?x:float -> string -> float -> unit
@@ -64,18 +28,7 @@ val event : t -> Event.t -> unit
 val ops : t -> op list
 (** Recorded ops, oldest first. *)
 
-val span_ids : t -> int
-(** Number of buffer-local span ids allocated (open spans included). *)
-
-val op_count : t -> int
-(** Number of recorded ops. *)
-
-val lane_track : lane:int -> string -> top_level:bool -> string
-(** The merge-time track renaming: top-level spans land on ["lane<k>"],
-    nested spans on ["lane<k>/<original track>"]. *)
-
-val absorb : t -> lane:int -> ?parent:int -> t -> unit
-(** [absorb outer ~lane ?parent inner] appends [inner]'s ops to
-    [outer], offsetting local span ids, lane-prefixing tracks, and
-    parenting [inner]'s top-level spans to [parent] (a buffer-local id
-    of an [outer] span) — the nested-Par merge. *)
+val absorb : t -> t -> unit
+(** [absorb outer inner] appends [inner]'s op log to [outer]'s — the op
+    half of the nested-Par merge (spans merge through
+    {!Tracer.absorb}). *)

@@ -10,21 +10,16 @@
    interleaved transactions of concurrent simulation processes still
    render as properly nested rectangles.
 
-   Every span has a timeline-unique [id] and an optional causal
-   [parent]: by default the innermost still-open span on the same track,
-   or an explicit [?parent] for cross-track causality (a Par dispatch
-   span parenting the job spans that ran on worker lanes).  Cross-track
-   parent links are exported as Chrome flow events ("s"/"f"), so
-   Perfetto draws the dispatch→job arrows.  [reserve_ids] and
-   [add_completed] exist for [Obs.merge_buffer], which replays spans
-   recorded off-domain into this timeline. *)
+   Every span has a timeline-unique [id] and a causal [parent]: the
+   innermost span still open in this tracer, on any track.  A tracer is
+   used by one fiber of control at a time (the owner domain, or one Par
+   job), so dynamic nesting is causality even across tracks; [depth]
+   stays per track because it only positions the rectangle.  [absorb]
+   is the one merge: it moves a finished job's spans into another tracer
+   under a dispatch span, and those links — and only those — export as
+   Chrome flow arrows ("s"/"f"). *)
 
-type track = {
-  tid : int;
-  label : string;
-  mutable depth : int;
-  mutable open_ids : int list;  (* innermost first *)
-}
+type track = { tid : int; label : string; mutable depth : int }
 
 type span = {
   s_id : int;
@@ -36,6 +31,7 @@ type span = {
   s_start_us : float;
   s_sim_start_ns : int option;
   s_args : (string * Json.t) list;
+  mutable s_self_us : float;
 }
 
 type completed = {
@@ -47,6 +43,7 @@ type completed = {
   depth : int;
   start_us : float;
   dur_us : float;
+  self_us : float;
   sim_start_ns : int option;
   sim_dur_ns : int option;
   args : (string * Json.t) list;
@@ -69,7 +66,10 @@ type t = {
   tracks : (string, track) Hashtbl.t;
   mutable next_tid : int;
   mutable next_span_id : int;
+  mutable open_spans : span list;  (* innermost first, across all tracks *)
+  mutable switch_us : float;  (* when the innermost open span last changed *)
   mutable completed : completed list;  (* newest first *)
+  links : (int, unit) Hashtbl.t;  (* spans parented by [absorb] *)
   mutable instants : instant list;
   mutable counters : counter_sample list;  (* newest first *)
   mutable completed_count : int;
@@ -85,7 +85,10 @@ let create () =
     tracks = Hashtbl.create 8;
     next_tid = 1;
     next_span_id = 1;
+    open_spans = [];
+    switch_us = 0.;
     completed = [];
+    links = Hashtbl.create 16;
     instants = [];
     counters = [];
     completed_count = 0;
@@ -95,49 +98,53 @@ let track_of t label =
   match Hashtbl.find_opt t.tracks label with
   | Some tr -> tr
   | None ->
-      let tr = { tid = t.next_tid; label; depth = 0; open_ids = [] } in
+      let tr = { tid = t.next_tid; label; depth = 0 } in
       t.next_tid <- t.next_tid + 1;
       Hashtbl.add t.tracks label tr;
       tr
 
-let reserve_ids t n =
-  let base = t.next_span_id in
-  t.next_span_id <- base + n;
-  base
+(* Self time accrues to the innermost open span: at every change of the
+   open stack, the span that was on top is charged the time since the
+   last change.  Each host instant is charged to at most one span, so
+   self times add up to the wall of the root spans even when spans of
+   concurrent simulation processes overlap without nesting. *)
+let switch t now =
+  (match t.open_spans with
+  | top :: _ -> top.s_self_us <- top.s_self_us +. (now -. t.switch_us)
+  | [] -> ());
+  t.switch_us <- now
 
 let begin_span t ?(track = default_track) ?(cat = "app") ?(args = [])
-    ?sim_ns ?parent name =
+    ?sim_ns name =
   let tr = track_of t track in
   let id = t.next_span_id in
   t.next_span_id <- id + 1;
-  let parent =
-    match parent with
-    | Some _ as p -> p
-    | None -> ( match tr.open_ids with [] -> None | p :: _ -> Some p)
-  in
+  let now = now_us () in
+  switch t now;
   let s =
     {
       s_id = id;
-      s_parent = parent;
+      s_parent = (match t.open_spans with [] -> None | p :: _ -> Some p.s_id);
       s_name = name;
       s_cat = cat;
       s_track = tr;
       s_depth = tr.depth;
-      s_start_us = now_us ();
+      s_start_us = now;
       s_sim_start_ns = sim_ns;
       s_args = args;
+      s_self_us = 0.;
     }
   in
   tr.depth <- tr.depth + 1;
-  tr.open_ids <- id :: tr.open_ids;
+  t.open_spans <- s :: t.open_spans;
   s
-
-let span_id s = s.s_id
 
 let end_span t ?(args = []) ?sim_ns s =
   let tr = s.s_track in
   if tr.depth > 0 then tr.depth <- tr.depth - 1;
-  tr.open_ids <- List.filter (fun id -> id <> s.s_id) tr.open_ids;
+  let now = now_us () in
+  switch t now;
+  t.open_spans <- List.filter (fun o -> o != s) t.open_spans;
   let sim_dur_ns =
     match (s.s_sim_start_ns, sim_ns) with
     | Some a, Some b -> Some (b - a)
@@ -152,18 +159,13 @@ let end_span t ?(args = []) ?sim_ns s =
       track = tr.label;
       depth = s.s_depth;
       start_us = s.s_start_us;
-      dur_us = now_us () -. s.s_start_us;
+      dur_us = now -. s.s_start_us;
+      self_us = Float.max 0. s.s_self_us;
       sim_start_ns = s.s_sim_start_ns;
       sim_dur_ns;
       args = s.s_args @ args;
     }
     :: t.completed;
-  t.completed_count <- t.completed_count + 1
-
-let add_completed t (c : completed) =
-  (* used by the merge path: ids must come from [reserve_ids] *)
-  ignore (track_of t c.track);
-  t.completed <- c :: t.completed;
   t.completed_count <- t.completed_count + 1
 
 let with_span t ?track ?cat ?args ?sim_ns name f =
@@ -204,6 +206,45 @@ let completed_spans t = List.rev t.completed
 
 let spans_with_cat t cat =
   List.filter (fun c -> String.equal c.cat cat) (completed_spans t)
+
+(* The lane prefix applied at merge time: a root span of the absorbed
+   tracer goes on the bare lane track, everything below it keeps its
+   original track under the lane.  Nested Par maps prefix again,
+   yielding hierarchical lane paths ("lane1/lane0/m2"). *)
+let lane_track ~lane orig_track ~top_level =
+  if top_level then Printf.sprintf "lane%d" lane
+  else Printf.sprintf "lane%d/%s" lane orig_track
+
+(* [from]'s ids are offset past every id [into] has handed out, so the
+   ids of a merge sequence depend only on the merge order. *)
+let absorb into ~lane ?parent from =
+  let offset = into.next_span_id - 1 in
+  into.next_span_id <- into.next_span_id + from.next_span_id - 1;
+  List.iter
+    (fun (c : completed) ->
+      let root = c.parent = None in
+      let c =
+        {
+          c with
+          id = c.id + offset;
+          parent =
+            (if root then Option.map (fun p -> p.s_id) parent
+             else Option.map (( + ) offset) c.parent);
+          track = lane_track ~lane c.track ~top_level:root;
+        }
+      in
+      ignore (track_of into c.track);
+      into.completed <- c :: into.completed;
+      into.completed_count <- into.completed_count + 1;
+      match parent with
+      | Some p when root ->
+          Hashtbl.replace into.links c.id ();
+          (* the dispatching domain was inside the open parent while the
+             job ran, so the job's time is not the parent's own *)
+          p.s_self_us <- p.s_self_us -. c.dur_us
+      | Some _ | None -> ())
+    (completed_spans from);
+  Hashtbl.iter (fun id () -> Hashtbl.replace into.links (id + offset) ()) from.links
 
 (* --- Chrome trace_event export --- *)
 
@@ -263,33 +304,30 @@ let to_chrome_json t =
         ("args", Json.Obj [ ("value", Json.Float c.c_value) ]);
       ]
   in
-  (* cross-track parent links render as flow arrows dispatch → job *)
+  (* the [absorb] links render as flow arrows dispatch → job root *)
   let by_id = Hashtbl.create 64 in
   List.iter (fun (c : completed) -> Hashtbl.replace by_id c.id c) t.completed;
   let flow_events (c : completed) =
-    match c.parent with
-    | None -> []
-    | Some p -> (
-        match Hashtbl.find_opt by_id p with
-        | Some pc when not (String.equal pc.track c.track) ->
-            let arrow ph extra ts track =
-              Json.Obj
-                ([
-                   ("name", Json.Str "dispatch");
-                   ("cat", Json.Str "par");
-                   ("ph", Json.Str ph);
-                   ("id", Json.Int c.id);
-                   ("pid", Json.Int 1);
-                   ("tid", Json.Int (track_of t track).tid);
-                   ("ts", Json.Float (rel ts));
-                 ]
-                @ extra)
-            in
-            [
-              arrow "s" [] (pc.start_us +. (pc.dur_us /. 2.)) pc.track;
-              arrow "f" [ ("bp", Json.Str "e") ] c.start_us c.track;
-            ]
-        | _ -> [])
+    match Option.bind c.parent (Hashtbl.find_opt by_id) with
+    | Some pc when Hashtbl.mem t.links c.id ->
+        let arrow ph extra ts track =
+          Json.Obj
+            ([
+               ("name", Json.Str "dispatch");
+               ("cat", Json.Str "par");
+               ("ph", Json.Str ph);
+               ("id", Json.Int c.id);
+               ("pid", Json.Int 1);
+               ("tid", Json.Int (track_of t track).tid);
+               ("ts", Json.Float (rel ts));
+             ]
+            @ extra)
+        in
+        [
+          arrow "s" [] (pc.start_us +. (pc.dur_us /. 2.)) pc.track;
+          arrow "f" [ ("bp", Json.Str "e") ] c.start_us c.track;
+        ]
+    | _ -> []
   in
   let thread_name tr =
     Json.Obj

@@ -7,11 +7,13 @@
     concurrent simulation processes (e.g. bus masters) should each use
     their own track so their interleaved spans still nest.
 
-    Every span has a timeline-unique id and an optional causal parent
-    (defaulting to the innermost open span on the same track); parents
-    that live on a {e different} track are exported as Chrome flow
-    arrows, which is how a [Par] dispatch span points at the job spans
-    that ran on worker lanes. *)
+    Every span has a timeline-unique id and a causal parent: the
+    innermost span still open in the same tracer, on any track.  A
+    tracer records one fiber of control (the owner domain, or one [Par]
+    job), so dynamic nesting is causality.  {!absorb} merges a job's
+    tracer into its dispatcher's; the dispatch → job-root links it makes
+    are exported as Chrome flow arrows, which is how a [Par] dispatch
+    span points at the job spans that ran on worker lanes. *)
 
 type t
 
@@ -26,6 +28,10 @@ type completed = {
   depth : int;  (** nesting depth within the track at begin time *)
   start_us : float;
   dur_us : float;
+  self_us : float;
+      (** host time this span was the innermost open span of its tracer,
+          less the jobs {!absorb} parented to it (clamped at 0): the self
+          times of a tracer add up to the wall of its root spans *)
   sim_start_ns : int option;
   sim_dur_ns : int option;
   args : (string * Json.t) list;
@@ -43,16 +49,12 @@ val begin_span :
   ?cat:string ->
   ?args:(string * Json.t) list ->
   ?sim_ns:int ->
-  ?parent:int ->
   string ->
   span
 (** Open a span on [track] (default {!default_track}) at the current
     host time; [cat] is the Chrome category, [sim_ns] the simulated
-    start time.  [parent] overrides the causal parent (default: the
-    innermost span still open on the same track). *)
-
-val span_id : span -> int
-(** The timeline-unique id of an open span (usable as [?parent]). *)
+    start time.  Its parent is the innermost span still open in [t], on
+    any track; its depth counts the spans open on [track]. *)
 
 val end_span : t -> ?args:(string * Json.t) list -> ?sim_ns:int -> span -> unit
 (** Close the span; [sim_ns] here yields a simulated duration in the
@@ -86,16 +88,6 @@ val counter_sample : t -> ?ts_us:float -> string -> float -> unit
 (** One sample of a named Chrome counter track (ph ["C"]) — the budget
     waterfall exports the governor's cumulative spend this way. *)
 
-val reserve_ids : t -> int -> int
-(** [reserve_ids t n] reserves [n] consecutive span ids and returns the
-    first; the merge path allocates ids for a whole buffer up front so
-    parent links survive arbitrary completion order. *)
-
-val add_completed : t -> completed -> unit
-(** Append an externally-built completed span (merge path); its [id]
-    must come from {!reserve_ids} and its [track] is registered on
-    first use. *)
-
 val span_count : t -> int
 (** Number of completed spans. *)
 
@@ -105,5 +97,19 @@ val completed_spans : t -> completed list
 val spans_with_cat : t -> string -> completed list
 (** Completed spans whose category equals the argument, oldest first. *)
 
+val lane_track : lane:int -> string -> top_level:bool -> string
+(** The merge-time track renaming: top-level spans land on ["lane<k>"],
+    nested spans on ["lane<k>/<original track>"]. *)
+
+val absorb : t -> lane:int -> ?parent:span -> t -> unit
+(** [absorb into ~lane ?parent from] appends [from]'s completed spans to
+    [into]: ids are offset past [into]'s, tracks renamed by
+    {!lane_track}, and the root spans of [from] parented to [parent] (a
+    span open in [into], whose self time then excludes them) — the one
+    span merge, for a [Par] job into the owner timeline and for a nested
+    map into its dispatching job alike.  [from]'s instants and counter
+    samples are not moved. *)
+
 val to_chrome_json : t -> string
-(** The whole timeline as a Chrome trace_event JSON document. *)
+(** The whole timeline as a Chrome trace_event JSON document, with one
+    flow arrow per {!absorb} link. *)

@@ -196,8 +196,10 @@ let map_array ?(label = "par.map") ?progress pool f xs =
     let results = Array.make n None in
     let errors = Array.make nchunks None in
     let telemetry = Obs.enabled () in
-    let buffered = telemetry && Obs.buffering () in
-    let bufs = Array.make (if buffered then nchunks else 0) None in
+    let bufs =
+      Array.init (if telemetry then nchunks else 0) (fun _ ->
+          Telemetry_buffer.create ())
+    in
     let lanes = Array.make nchunks 0 in
     let thunks =
       Array.init nchunks (fun c ->
@@ -209,22 +211,18 @@ let map_array ?(label = "par.map") ?progress pool f xs =
               done
             with e -> errors.(c) <- Some (e, Printexc.get_raw_backtrace ())
           in
-          if not buffered then body
-          else begin
-            let buf = Telemetry_buffer.create () in
-            bufs.(c) <- Some buf;
-            fun () ->
-              lanes.(c) <- current_lane ();
-              Obs.with_buffer buf (fun () ->
-                  Obs.span ~cat:"par"
-                    ~args:
-                      [
-                        ("chunk", Json.Int c);
-                        ("lo", Json.Int lo);
-                        ("hi", Json.Int (hi - 1));
-                      ]
-                    label body)
-          end)
+          if not telemetry then body
+          else fun () ->
+            lanes.(c) <- current_lane ();
+            Obs.with_buffer bufs.(c) (fun () ->
+                Obs.span ~cat:"par"
+                  ~args:
+                    [
+                      ("chunk", Json.Int c);
+                      ("lo", Json.Int lo);
+                      ("hi", Json.Int (hi - 1));
+                    ]
+                  label body))
     in
     let sp =
       if telemetry then
@@ -241,13 +239,7 @@ let map_array ?(label = "par.map") ?progress pool f xs =
     let waits = run_chunks pool ?progress thunks in
     (* merge the per-job buffers in chunk-index order: dispatch order,
        never completion order, so the merged registry is deterministic *)
-    if buffered then
-      Array.iteri
-        (fun c b ->
-          match b with
-          | Some b -> Obs.merge_buffer ~parent:sp ~lane:lanes.(c) b
-          | None -> ())
-        bufs;
+    Array.iteri (fun c b -> Obs.merge_buffer ~parent:sp ~lane:lanes.(c) b) bufs;
     if telemetry then begin
       Obs.incr_counter ~by:nchunks "par.jobs_dispatched";
       Array.iter

@@ -11,15 +11,16 @@
     calling domain (first failing chunk in input order wins).
 
     Telemetry: every parallel section is a dispatch span on the ["par"]
-    track, with [par.jobs_dispatched] counting chunks and
-    [par.queue_wait_us] a histogram of chunk queue-wait times.  When
-    telemetry is on, each chunk runs under a per-job
-    [Obs.Telemetry_buffer] wrapped in a job-root span; the buffers merge
-    back in chunk-index order at the fan-in, parented to the dispatch
-    span and placed on per-lane tracks (["lane0"] is the calling
-    domain) — worker emissions are never lost, and because chunk counts
-    and merge order are width-independent the merged metrics are
-    byte-identical at any [--jobs].  See [docs/OBSERVABILITY.md]. *)
+    track, a child of the span open at the call, with
+    [par.jobs_dispatched] counting chunks and [par.queue_wait_us] a
+    histogram of chunk queue-wait times.  When telemetry is on, each
+    chunk runs under a per-job [Obs.Telemetry_buffer] wrapped in a
+    job-root span; the buffers merge back in chunk-index order at the
+    fan-in, parented to the dispatch span and placed on per-lane tracks
+    (["lane0"] is the calling domain) — worker emissions are never lost,
+    and because chunk counts and merge order are width-independent the
+    merged metrics are byte-identical at any [--jobs].  See
+    [docs/OBSERVABILITY.md]. *)
 
 type pool
 

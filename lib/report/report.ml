@@ -40,7 +40,7 @@ type profile_row = {
   name : string;
   count : int;
   wall_us : float;  (** total inclusive host time *)
-  self_us : float;  (** total minus direct children (clamped at 0) *)
+  self_us : float;  (** total time innermost ([Tracer.completed.self_us]) *)
 }
 
 type hist_row = { h_count : int; h_sum : float; h_min : int; h_max : int }
@@ -96,23 +96,9 @@ let lint_corpus ?pool ?gov ?rules ?(escalate = false) ?only () =
       rtl @ recovery ()
 
 let profile_of_spans spans =
-  (* self time = inclusive minus direct children, via one parent pass *)
-  let child_sum : (int, float) Hashtbl.t = Hashtbl.create 256 in
-  List.iter
-    (fun (s : Tracer.completed) ->
-      match s.parent with
-      | None -> ()
-      | Some p ->
-          let cur = Option.value ~default:0. (Hashtbl.find_opt child_sum p) in
-          Hashtbl.replace child_sum p (cur +. s.dur_us))
-    spans;
   let rows : (string * string, profile_row) Hashtbl.t = Hashtbl.create 64 in
   List.iter
     (fun (s : Tracer.completed) ->
-      let children =
-        Option.value ~default:0. (Hashtbl.find_opt child_sum s.id)
-      in
-      let self = Float.max 0. (s.dur_us -. children) in
       let key = (s.cat, s.name) in
       let prev =
         match Hashtbl.find_opt rows key with
@@ -125,7 +111,7 @@ let profile_of_spans spans =
           prev with
           count = prev.count + 1;
           wall_us = prev.wall_us +. s.dur_us;
-          self_us = prev.self_us +. self;
+          self_us = prev.self_us +. s.self_us;
         })
     spans;
   Hashtbl.fold (fun _ r acc -> r :: acc) rows []

@@ -23,7 +23,7 @@ type profile_row = {
   name : string;
   count : int;
   wall_us : float;  (** total inclusive host time *)
-  self_us : float;  (** total minus direct children (clamped at 0) *)
+  self_us : float;  (** total time innermost ([Tracer.completed.self_us]) *)
 }
 
 type hist_row = { h_count : int; h_sum : float; h_min : int; h_max : int }

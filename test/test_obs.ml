@@ -159,7 +159,13 @@ let span_nesting () =
   let find n = List.find (fun s -> s.Tracer.name = n) spans in
   check_int "outer depth" 0 (find "outer").Tracer.depth;
   check_int "inner depth" 1 (find "inner").Tracer.depth;
-  (* a span on its own track starts a fresh nesting *)
+  (* a span on another track nests under the innermost open span, on
+     any track, while its depth restarts on its own track *)
+  check_bool "other-track parent" true
+    ((find "elsewhere").Tracer.parent = Some (find "outer").Tracer.id);
+  check_bool "same-track parent" true
+    ((find "inner").Tracer.parent = Some (find "outer").Tracer.id);
+  check_bool "outer is a root" true ((find "outer").Tracer.parent = None);
   check_int "other-track depth" 0 (find "elsewhere").Tracer.depth;
   check_bool "sim durations" true
     ((find "inner").Tracer.sim_dur_ns = Some 30

@@ -112,7 +112,9 @@ let with_obs f =
 let pool_telemetry () =
   with_obs (fun () ->
       Par.with_pool ~jobs:2 (fun pool ->
-          ignore (Par.map ~label:"test.batch" pool Fun.id (List.init 16 Fun.id)));
+          Obs.span "test.caller" (fun () ->
+              ignore
+                (Par.map ~label:"test.batch" pool Fun.id (List.init 16 Fun.id))));
       let m = Obs.metrics () in
       (match Metrics.find_counter m "par.jobs_dispatched" with
       | Some n -> check_bool "chunks dispatched" true (n > 0)
@@ -132,6 +134,14 @@ let pool_telemetry () =
         List.filter (fun s -> not (String.equal s.Tracer.track "par")) spans
       in
       check_int "16 job spans" 16 (List.length jobs);
+      (* the dispatch span is a child of the span open at the call *)
+      let caller =
+        List.find
+          (fun s -> String.equal s.Tracer.name "test.caller")
+          (Tracer.completed_spans (Obs.tracer ()))
+      in
+      check_bool "dispatch parented to the calling span" true
+        (dispatch.Tracer.parent = Some caller.Tracer.id);
       List.iter
         (fun (s : Tracer.completed) ->
           check_bool "job on a lane track" true
@@ -158,37 +168,27 @@ let rendezvous pool name =
       Par.current_lane ())
     [ 0; 1 ]
 
-(* Satellite regression for the worker-telemetry drop: with per-job
-   buffering on, emissions from the worker domain reach the merged
-   registry; with buffering off (the pre-merge behaviour), they are
-   dropped and counted — so the buffered flow records strictly more. *)
+(* Worker telemetry reaches the merged registry: with per-job buffers,
+   the emissions of both lanes are counted and none is dropped.  A
+   domain that is neither the owner nor under a buffer (a bare
+   [Domain.spawn]) cannot emit safely; its emission is dropped and
+   counted, never silently lost. *)
 let worker_telemetry_merged () =
-  let buffered =
-    with_obs (fun () ->
-        let lanes = Par.with_pool ~jobs:2 (fun pool -> rendezvous pool "rv") in
-        check_bool "two distinct lanes" true
-          (match lanes with [ a; b ] -> a <> b | _ -> false);
-        check_int "no emission dropped" 0 (Obs.dropped_count ());
-        match Metrics.find_counter (Obs.metrics ()) "rv.work" with
+  with_obs (fun () ->
+      let lanes = Par.with_pool ~jobs:2 (fun pool -> rendezvous pool "rv") in
+      check_bool "two distinct lanes" true
+        (match lanes with [ a; b ] -> a <> b | _ -> false);
+      check_int "no emission dropped" 0 (Obs.dropped_count ());
+      check_int "both lanes counted" 2
+        (match Metrics.find_counter (Obs.metrics ()) "rv.work" with
         | Some n -> n
-        | None -> Alcotest.fail "rv.work not recorded")
-  in
-  check_int "both lanes counted" 2 buffered;
-  let unbuffered =
-    with_obs (fun () ->
-        Obs.set_buffering false;
-        Fun.protect
-          ~finally:(fun () -> Obs.set_buffering true)
-          (fun () ->
-            ignore (Par.with_pool ~jobs:2 (fun pool -> rendezvous pool "rv"));
-            check_bool "worker emissions dropped and counted" true
-              (Obs.dropped_count () > 0);
-            match Metrics.find_counter (Obs.metrics ()) "rv.work" with
-            | Some n -> n
-            | None -> 0))
-  in
-  check_int "dispatch lane only" 1 unbuffered;
-  check_bool "buffered records strictly more" true (buffered > unbuffered)
+        | None -> Alcotest.fail "rv.work not recorded");
+      Domain.join (Domain.spawn (fun () -> Obs.incr_counter "rv.work"));
+      check_int "bare-domain emission dropped and counted" 1
+        (Obs.dropped_count ());
+      check_int "bare-domain emission not merged" 2
+        (Option.value ~default:0
+           (Metrics.find_counter (Obs.metrics ()) "rv.work")))
 
 (* Chrome-trace parse-back: the exported timeline must show one thread
    per lane, the job spans on (at least) two distinct lane threads, each

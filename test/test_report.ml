@@ -101,6 +101,39 @@ let markdown_has_sections () =
       "## Budget waterfall"; "## Profile"; "## Counters"; "## Trace";
     ]
 
+(* Self-times add up: every span nests under the span open when it
+   began, so the profile's self-times (inclusive minus direct children)
+   sum to the wall of the root spans, and level 4's Par fan-outs are its
+   children instead of roots of their own. *)
+let profile_self_times_add_up () =
+  Par.with_pool ~jobs:1 (fun pool ->
+      let r =
+        Report.assemble ~pool ~seed:1 ~workload ~budget:(budget ())
+          ~trials_per_kind:1 ()
+      in
+      let spans = Tracer.completed_spans (Obs.tracer ()) in
+      Obs.reset ();
+      Obs.set_enabled false;
+      let sum f xs = List.fold_left (fun acc x -> acc +. f x) 0. xs in
+      let self = sum (fun (row : Report.profile_row) -> row.self_us) r.Report.profile in
+      let root_wall =
+        sum
+          (fun (s : Tracer.completed) -> s.dur_us)
+          (List.filter (fun (s : Tracer.completed) -> s.parent = None) spans)
+      in
+      check_bool
+        (Printf.sprintf "self-times %.0f us within 2%% of root wall %.0f us"
+           self root_wall)
+        true
+        (Float.abs (self -. root_wall) <= 0.02 *. root_wall);
+      let level4 =
+        List.find (fun (s : Tracer.completed) -> s.name = "level4") spans
+      in
+      check_bool "level4 has child spans" true
+        (List.exists
+           (fun (s : Tracer.completed) -> s.parent = Some level4.id)
+           spans))
+
 let suite =
   [
     Alcotest.test_case "report md5 is pool-width invariant" `Slow
@@ -111,4 +144,6 @@ let suite =
       json_parses_back;
     Alcotest.test_case "markdown has every section" `Quick
       markdown_has_sections;
+    Alcotest.test_case "profile self-times add up" `Quick
+      profile_self_times_add_up;
   ]
