@@ -948,8 +948,7 @@ let report_cmd =
     Arg.(value & opt (some string) None
          & info [ "trace" ] ~docv:"FILE"
              ~doc:"Also write the run's Chrome trace (one lane per worker \
-                   domain, governor spend as counter tracks; \"-\" for \
-                   stdout).")
+                   domain; \"-\" for stdout).")
   in
   let escalate_arg =
     Arg.(value & flag

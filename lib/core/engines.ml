@@ -5,18 +5,13 @@
    its own budget knobs.  This module redesigns the drivers behind one
    call shape:
 
-     ?gov ?pool ?jobs ~seed target -> Verdict.t
+     ?gov ?pool ~seed target -> Verdict.t
 
-   [gov] is the resource governor (omitted = unlimited), [pool]/[jobs]
-   pick the worker-domain fan-out ([pool] wins; [jobs] builds a scoped
-   pool; neither = sequential), [seed] drives the stochastic engines and
-   is accepted — and ignored — by the deterministic ones so portfolios
-   can treat every engine uniformly.  Verdicts are identical at any
-   pool width.
-
-   The fault-campaign driver lives with its engine
-   ([Symbad_resil.Campaign.check] — resil sits above core in the
-   library stack) but answers the same shape. *)
+   [gov] is the resource governor (omitted = unlimited), [pool] the
+   worker-domain fan-out (omitted = sequential), [seed] drives the
+   stochastic engines and is accepted — and ignored — by the
+   deterministic ones so portfolios can treat every engine uniformly.
+   Verdicts are identical at any pool width. *)
 
 module Gov = Symbad_gov.Gov
 module Budget = Symbad_gov.Budget
@@ -25,24 +20,13 @@ module Lint = Symbad_lint.Lint
 module Mc = Symbad_mc
 module Pcc = Symbad_pcc.Pcc
 
-let with_jobs ?pool ?jobs f =
-  match (pool, jobs) with
-  | Some p, _ -> f p
-  | None, None -> f Symbad_par.Par.sequential
-  | None, Some jobs -> Symbad_par.Par.with_pool ~jobs f
-
-let timed f =
-  let t0 = Sys.time () in
-  let v = f () in
-  (v, Sys.time () -. t0)
-
 (* --- the static engine ------------------------------------------------ *)
 
-let lint ?gov ?pool ?jobs ?(escalate = false) ~seed:_ (m : Level4.rtl_module) =
-  with_jobs ?pool ?jobs @@ fun pool ->
+let lint ?gov ?(pool = Symbad_par.Par.sequential) ?(escalate = false) ~seed:_
+    (m : Level4.rtl_module) =
   let props = Mc.Prop.pairs m.Level4.properties in
   let report, host_seconds =
-    timed (fun () ->
+    Verdict.timed (fun () ->
         let r = Lint.run_netlist ~pool ?gov ~properties:props m.Level4.netlist in
         if escalate then
           Lint.escalate ~pool ?gov ~properties:props m.Level4.netlist r
@@ -52,21 +36,19 @@ let lint ?gov ?pool ?jobs ?(escalate = false) ~seed:_ (m : Level4.rtl_module) =
 
 (* --- the formal engines ----------------------------------------------- *)
 
-let model_check ?gov ?pool ?jobs ?(max_depth = 12) ~seed:_
-    (m : Level4.rtl_module) =
-  with_jobs ?pool ?jobs @@ fun pool ->
+let model_check ?gov ?(pool = Symbad_par.Par.sequential) ?(max_depth = 12)
+    ~seed:_ (m : Level4.rtl_module) =
   let reports, host_seconds =
-    timed (fun () ->
+    Verdict.timed (fun () ->
         Mc.Engine.check_all ~pool ~max_depth ?gov m.Level4.netlist
           m.Level4.properties)
   in
   Level4.mc_row ~host_seconds ~module_name:m.Level4.module_name reports
 
-let pcc ?gov ?pool ?jobs ?(depth = 6) ?(max_reg_bits = 4) ~seed:_
-    (m : Level4.rtl_module) =
-  with_jobs ?pool ?jobs @@ fun pool ->
+let pcc ?gov ?(pool = Symbad_par.Par.sequential) ?(depth = 6)
+    ?(max_reg_bits = 4) ~seed:_ (m : Level4.rtl_module) =
   let report, host_seconds =
-    timed (fun () ->
+    Verdict.timed (fun () ->
         Pcc.run ~pool ~depth ~max_reg_bits ?gov m.Level4.netlist
           m.Level4.properties)
   in
@@ -80,8 +62,7 @@ let pcc ?gov ?pool ?jobs ?(depth = 6) ?(max_reg_bits = 4) ~seed:_
    degrades to Inconclusive carrying the coverage reached so far, and
    granted retries re-dispatch re-seeded over a share of the remaining
    budget (the portfolio retry). *)
-let atpg ?gov ?pool ?jobs ~seed () =
-  with_jobs ?pool ?jobs @@ fun pool ->
+let atpg ?gov ?(pool = Symbad_par.Par.sequential) ~seed () =
   let gov = Gov.get gov in
   let retries = (Gov.budget gov).Budget.retries in
   let attempt_once ~attempt =
@@ -99,7 +80,7 @@ let atpg ?gov ?pool ?jobs ~seed () =
       if attempt = 0 then seed else Symbad_par.Par.split_seed ~seed attempt
     in
     let evals, host_seconds =
-      timed (fun () ->
+      Verdict.timed (fun () ->
           List.map
             (fun m ->
               let params =

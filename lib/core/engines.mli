@@ -1,19 +1,14 @@
 (** The unified engine surface: every verification engine behind one
     call shape,
 
-    {[ ?gov ?pool ?jobs ~seed target -> Verdict.t ]}
+    {[ ?gov ?pool ~seed target -> Verdict.t ]}
 
     [gov] is the resource governor (omitted = unlimited budget);
-    [pool] reuses the caller's worker domains, [jobs] builds a pool
-    scoped to the call, neither means sequential ([pool] wins when both
-    are given).  [seed] drives the stochastic engines ({!atpg}) and is
-    accepted — and ignored — by the deterministic ones ({!lint},
-    {!model_check}, {!pcc}) so a portfolio can dispatch every engine
-    through the same shape.  Verdicts are identical at any pool width.
-
-    The fault-campaign driver answers the same shape from its own
-    library ({!Symbad_resil.Campaign.check} — resil sits above core in
-    the stack and cannot be re-exported here).
+    [pool] reuses the caller's worker domains (omitted = sequential).
+    [seed] drives the stochastic engines ({!atpg}) and is accepted —
+    and ignored — by the deterministic ones ({!lint}, {!model_check},
+    {!pcc}) so a portfolio can dispatch every engine through the same
+    shape.  Verdicts are identical at any pool width.
 
     [gov] is the only limit on solver effort; the per-engine entry
     points these drivers wrap take the same governor and remain for
@@ -22,7 +17,6 @@
 val lint :
   ?gov:Symbad_gov.Gov.t ->
   ?pool:Symbad_par.Par.pool ->
-  ?jobs:int ->
   ?escalate:bool ->
   seed:int ->
   Level4.rtl_module ->
@@ -37,7 +31,6 @@ val lint :
 val model_check :
   ?gov:Symbad_gov.Gov.t ->
   ?pool:Symbad_par.Par.pool ->
-  ?jobs:int ->
   ?max_depth:int ->
   seed:int ->
   Level4.rtl_module ->
@@ -49,7 +42,6 @@ val model_check :
 val pcc :
   ?gov:Symbad_gov.Gov.t ->
   ?pool:Symbad_par.Par.pool ->
-  ?jobs:int ->
   ?depth:int ->
   ?max_reg_bits:int ->
   seed:int ->
@@ -62,7 +54,6 @@ val pcc :
 val atpg :
   ?gov:Symbad_gov.Gov.t ->
   ?pool:Symbad_par.Par.pool ->
-  ?jobs:int ->
   seed:int ->
   unit ->
   Verdict.t

@@ -30,15 +30,9 @@ type t = {
   all_passed : bool;
 }
 
-(* Time one verification step; the seconds land in the verdict. *)
-let timed f =
-  let t0 = Sys.time () in
-  let v = f () in
-  (v, Sys.time () -. t0)
-
 let compare_traces ~check ~reference ~actual =
   let mismatches, host_seconds =
-    timed (fun () -> Sim.Trace.compare_data ~reference ~actual)
+    Verdict.timed (fun () -> Sim.Trace.compare_data ~reference ~actual)
   in
   match mismatches with
   | [] ->
@@ -115,9 +109,7 @@ let run ?pool ?cache ?escalate ?(seed = 1)
     Obs.span ~cat:"level" "level1" @@ fun () ->
   let g1 = level_gov 1 in
   let entry1 = entry_verdicts 1 g1 in
-  let t0 = Sys.time () in
-  let l1 = Level1.run graph in
-  let l1_seconds = Sys.time () -. t0 in
+  let l1, l1_seconds = Verdict.timed (fun () -> Level1.run graph) in
   (* the level's two governed checks get their shares up front *)
   let atpg_gov, lpv_gov =
     match Gov.split ~label:"checks" g1 2 with
@@ -125,7 +117,9 @@ let run ?pool ?cache ?escalate ?(seed = 1)
     | _ -> assert false
   in
   let deadlock =
-    let v, secs = timed (fun () -> Lpv_bridge.check_deadlock ~gov:lpv_gov graph) in
+    let v, secs =
+      Verdict.timed (fun () -> Lpv_bridge.check_deadlock ~gov:lpv_gov graph)
+    in
     Verdict.of_lpv_deadlock ~host_seconds:secs v
   in
   let level1 =
@@ -154,9 +148,7 @@ let run ?pool ?cache ?escalate ?(seed = 1)
   let g2 = level_gov 2 in
   let entry2 = entry_verdicts 2 g2 in
   let mapping2 = Face_app.level2_mapping ~profile:l1.Level1.profile graph in
-  let t0 = Sys.time () in
-  let l2 = Level2.run graph mapping2 in
-  let l2_seconds = Sys.time () -. t0 in
+  let l2, l2_seconds = Verdict.timed (fun () -> Level2.run graph mapping2) in
   let timing = Lpv_bridge.default_timing in
   let period_verdict, deadline_ok =
     Lpv_bridge.check_deadline ~deadline_ns ~timing ~mapping:mapping2
@@ -208,14 +200,12 @@ let run ?pool ?cache ?escalate ?(seed = 1)
   let g3 = level_gov 3 in
   let entry3 = entry_verdicts 3 g3 in
   let mapping3 = Mapping.refine_to_fpga mapping2 Face_app.level3_refinement in
-  let t0 = Sys.time () in
-  let l3 = Level3.run graph mapping3 in
-  let l3_seconds = Sys.time () -. t0 in
+  let l3, l3_seconds = Verdict.timed (fun () -> Level3.run graph mapping3) in
   (* the static reconfiguration lint gates dynamic SymbC: a program the
      dataflow pass disproves is never simulated.  Warnings (the may/must
      gap) defer to SymbC, which decides them dynamically. *)
   let lint_report, lint_secs =
-    timed (fun () ->
+    Verdict.timed (fun () ->
         Symbad_lint.Lint.run_program ?pool
           ~gov:(Gov.slice ~label:"lint" ~fraction:0.1 g3)
           ~name:"instrumented software" l3.Level3.config_info
@@ -238,7 +228,7 @@ let run ?pool ?cache ?escalate ?(seed = 1)
                (Printf.sprintf "governor: %s" (Degrade.reason_string reason)))
       | None ->
           let v, secs =
-            timed (fun () ->
+            Verdict.timed (fun () ->
                 Symbad_symbc.Check.check l3.Level3.config_info
                   l3.Level3.instrumented_sw)
           in
@@ -276,9 +266,9 @@ let run ?pool ?cache ?escalate ?(seed = 1)
     Obs.span ~cat:"level" "level4" @@ fun () ->
   let g4 = level_gov 4 in
   let entry4 = entry_verdicts 4 g4 in
-  let t0 = Sys.time () in
-  let l4 = Level4.run ?pool ?cache ?escalate ~gov:g4 () in
-  let l4_seconds = Sys.time () -. t0 in
+  let l4, l4_seconds =
+    Verdict.timed (fun () -> Level4.run ?pool ?cache ?escalate ~gov:g4 ())
+  in
   (* the consolidated rows come straight off the module reports now
      (Level4 owns their shape); the table keeps its historical order —
      all lint rows, then MC, then PCC *)

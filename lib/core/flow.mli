@@ -57,9 +57,9 @@ val run :
     carry proof obligations are dispatched to the model checker and
     folded back into the gate before MC/PCC run.
 
-    [gov] overrides [budget] with a caller-built root governor — what
-    `symbad report` uses to attach a {!Symbad_gov.Ledger} so the run's
-    budget waterfall can be reported. *)
+    [gov] overrides [budget] with a caller-built governor — what
+    `symbad report` uses to run the flow as one slice of its root, whose
+    {!Symbad_gov.Gov.waterfall} it then reports. *)
 
 val to_markdown : t -> string
 (** The report as a markdown document (CI artefacts, experiment logs). *)

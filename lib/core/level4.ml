@@ -237,6 +237,9 @@ type module_results = {
   mc_reports : Mc.Engine.report list;
   all_proved : bool;
   pcc : Symbad_pcc.Pcc.report option;
+  lint_s : float;
+  mc_s : float;
+  pcc_s : float;
 }
 
 type module_report = {
@@ -280,11 +283,11 @@ let results_verdicts ~module_name (res : module_results) =
     Verdict.make ~name ~detail:"static lint already disproved the module"
       (Verdict.Inconclusive "skipped: lint gate")
   in
-  ( lint_row ~module_name res.lint,
+  ( lint_row ~host_seconds:res.lint_s ~module_name res.lint,
     (if res.gated then skipped (mc_name module_name)
-     else mc_row ~module_name res.mc_reports),
+     else mc_row ~host_seconds:res.mc_s ~module_name res.mc_reports),
     match res.pcc with
-    | Some pcc -> pcc_row ~module_name pcc
+    | Some pcc -> pcc_row ~host_seconds:res.pcc_s ~module_name pcc
     | None -> skipped (pcc_name module_name) )
 
 (* --- the verdict cache ------------------------------------------------ *)
@@ -368,13 +371,13 @@ let verify_module_live ?pool ~gov ~escalate ~max_depth ~pcc_depth ~max_reg_bits
      warnings and governor-skipped rules let verification proceed. *)
   let lint_gov = Symbad_gov.Gov.slice ~label:"lint" ~fraction:0.1 gov in
   let properties = Prop.pairs m.properties in
-  let lint =
-    Symbad_lint.Lint.run_netlist ?pool ~gov:lint_gov ~properties
-      m.netlist
-  in
-  (* escalation runs before the gate so a disproved warning (promoted
-     to error, counterexample attached) keeps the SAT engines off *)
-  let lint =
+  let lint, lint_s =
+    Verdict.timed @@ fun () ->
+    let lint =
+      Symbad_lint.Lint.run_netlist ?pool ~gov:lint_gov ~properties m.netlist
+    in
+    (* escalation runs before the gate so a disproved warning (promoted
+       to error, counterexample attached) keeps the SAT engines off *)
     if escalate && Symbad_lint.Lint.errors lint = 0 then
       Symbad_lint.Lint.escalate ?pool
         ~gov:(Symbad_gov.Gov.slice ~label:"lint.escalate" ~fraction:0.1 gov)
@@ -382,23 +385,39 @@ let verify_module_live ?pool ~gov ~escalate ~max_depth ~pcc_depth ~max_reg_bits
     else lint
   in
   if Symbad_lint.Lint.errors lint > 0 then
-    { lint; gated = true; mc_reports = []; all_proved = false; pcc = None }
+    {
+      lint;
+      gated = true;
+      mc_reports = [];
+      all_proved = false;
+      pcc = None;
+      lint_s;
+      mc_s = 0.;
+      pcc_s = 0.;
+    }
   else
     (* half the module's budget to model checking up front; PCC then
        runs over whatever the proofs left unspent *)
     let mc_gov = Symbad_gov.Gov.slice ~label:"mc" ~fraction:0.5 gov in
-    let mc_reports =
-      Mc.Engine.check_all ?pool ~max_depth ~gov:mc_gov m.netlist m.properties
+    let mc_reports, mc_s =
+      Verdict.timed (fun () ->
+          Mc.Engine.check_all ?pool ~max_depth ~gov:mc_gov m.netlist
+            m.properties)
+    in
+    let pcc, pcc_s =
+      Verdict.timed (fun () ->
+          Symbad_pcc.Pcc.run ?pool ~depth:pcc_depth ~max_reg_bits ~gov
+            m.netlist m.properties)
     in
     {
       lint;
       gated = false;
       mc_reports;
       all_proved = Mc.Engine.all_proved mc_reports;
-      pcc =
-        Some
-          (Symbad_pcc.Pcc.run ?pool ~depth:pcc_depth ~max_reg_bits ~gov
-             m.netlist m.properties);
+      pcc = Some pcc;
+      lint_s;
+      mc_s;
+      pcc_s;
     }
 
 let verify_module ?pool ?cache ?gov ?(escalate = false) ?(max_depth = 12)

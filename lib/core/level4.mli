@@ -35,6 +35,11 @@ type module_results = {
   mc_reports : Symbad_mc.Engine.report list;  (** empty when gated *)
   all_proved : bool;
   pcc : Symbad_pcc.Pcc.report option;  (** [None] when gated *)
+  lint_s : float;
+      (** host seconds ({!Verdict.timed}) of the lint gate, escalation
+          included; the rows' [host_seconds] *)
+  mc_s : float;  (** of model checking; [0.] when gated *)
+  pcc_s : float;  (** of PCC; [0.] when gated *)
 }
 
 type module_report = {

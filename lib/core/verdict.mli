@@ -41,16 +41,15 @@ val with_cached : t -> t
 (** The verdict marked as a cache replay: [cached] set, [host_seconds]
     zeroed (no engine ran this time). *)
 
+val timed : (unit -> 'a) -> 'a * float
+(** [timed f] is [f ()] paired with the host seconds it took (process
+    CPU time, [Sys.time]) — how every producer fills [host_seconds]. *)
+
 val coverage_ratio : outcome -> float option
 (** [hit / total] ([1.] when [total = 0]); [None] for non-coverage
     outcomes. *)
 
 (** {1 Adapters} *)
-
-val of_mc : ?host_seconds:float -> Symbad_mc.Engine.report -> t
-(** [Proved] with method and depth, [Disproved] with the trace length,
-    or [Inconclusive] carrying the engine's reason (bound reached,
-    budget exhausted). *)
 
 val of_pcc : ?host_seconds:float -> ?threshold:float -> Symbad_pcc.Pcc.report -> t
 (** [Coverage] over detectable faults; passes at [threshold] (default
@@ -58,11 +57,6 @@ val of_pcc : ?host_seconds:float -> ?threshold:float -> Symbad_pcc.Pcc.report ->
     [Unresolved] faults (resource budget ran out) that would otherwise
     let it pass, the verdict degrades to [Inconclusive] instead —
     exhaustion never produces an optimistic pass. *)
-
-val of_atpg :
-  ?host_seconds:float -> ?threshold:float -> Symbad_atpg.Testbench.evaluation -> t
-(** [Coverage] over the point universe; passes when total coverage
-    exceeds [threshold] (default [0.85], the flow's gate). *)
 
 val of_lpv_deadlock : ?host_seconds:float -> Symbad_lpv.Deadlock.verdict -> t
 (** [Proved] with the minimum cycle tokens, [Disproved] with the witness

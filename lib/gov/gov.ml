@@ -22,28 +22,19 @@ type t = {
   spent_conflicts : int Atomic.t;
   spent_patterns : int Atomic.t;
   parent : t option;
-  ledger : Ledger.t option;  (* inherited root → children *)
+  children : t list Atomic.t;  (* newest first; [unlimited] keeps none *)
+  retries : int Atomic.t;
+  degradations : string list Atomic.t;  (* distinct reasons *)
+  created : float;  (* host instant, [Unix.gettimeofday] scale *)
 }
 
-let make ?(label = "gov") ?(cancel = Cancel.none) ?parent ?ledger budget =
-  let ledger =
-    match (ledger, parent) with
-    | (Some _ as l), _ -> l
-    | None, Some p -> p.ledger
-    | None, None -> None
-  in
-  (match ledger with
-  | Some l ->
-      Ledger.record l ~node:label
-        (Ledger.Created
-           {
-             parent = Option.map (fun p -> p.label) parent;
-             conflicts = budget.Budget.conflicts;
-             patterns = budget.Budget.patterns;
-             deadline_s = Budget.remaining_s budget;
-             retries = budget.Budget.retries;
-           })
-  | None -> ());
+(* lock-free update of a list cell: children may be created and
+   degradations noted on worker domains *)
+let rec update cell f =
+  let cur = Atomic.get cell in
+  if not (Atomic.compare_and_set cell cur (f cur)) then update cell f
+
+let node ~label ~cancel ?parent budget =
   {
     label;
     budget;
@@ -51,16 +42,28 @@ let make ?(label = "gov") ?(cancel = Cancel.none) ?parent ?ledger budget =
     spent_conflicts = Atomic.make 0;
     spent_patterns = Atomic.make 0;
     parent;
-    ledger;
+    children = Atomic.make [];
+    retries = Atomic.make 0;
+    degradations = Atomic.make [];
+    created = Unix.gettimeofday ();
   }
 
-let create ?label ?cancel ?ledger budget = make ?label ?cancel ?ledger budget
-let unlimited = make ~label:"unlimited" Budget.unlimited
+(* shared by the whole process, so it keeps no children: recording them
+   would grow memory with every ungoverned run *)
+let unlimited = node ~label:"unlimited" ~cancel:Cancel.none Budget.unlimited
+
+let make ?(label = "gov") ?(cancel = Cancel.none) ?parent budget =
+  let t = node ~label ~cancel ?parent budget in
+  (match parent with
+  | Some p when p != unlimited -> update p.children (List.cons t)
+  | Some _ | None -> ());
+  t
+
+let create ?label ?cancel budget = make ?label ?cancel budget
 let get = function Some g -> g | None -> unlimited
 let label t = t.label
 let budget t = t.budget
 let cancel_token t = t.cancel
-let ledger t = t.ledger
 
 (* --- spend accounting ------------------------------------------------- *)
 
@@ -70,23 +73,8 @@ let rec charge counter_of t n =
     match t.parent with Some p -> charge counter_of p n | None -> ()
   end
 
-(* each charge is recorded once, on the directly-charged node (the
-   atomic propagation handles the ancestors), so ledger sums equal the
-   root's spend counters exactly *)
-let note_charge t axis n =
-  if n > 0 then
-    match t.ledger with
-    | Some l ->
-        Ledger.record l ~node:t.label (Ledger.Charge { axis; amount = n })
-    | None -> ()
-
-let charge_conflicts t n =
-  note_charge t Ledger.Conflicts n;
-  charge (fun t -> t.spent_conflicts) t n
-
-let charge_patterns t n =
-  note_charge t Ledger.Patterns n;
-  charge (fun t -> t.spent_patterns) t n
+let charge_conflicts = charge (fun t -> t.spent_conflicts)
+let charge_patterns = charge (fun t -> t.spent_patterns)
 
 let spent_conflicts t = Atomic.get t.spent_conflicts
 let spent_patterns t = Atomic.get t.spent_patterns
@@ -117,7 +105,7 @@ let out_of_budget t = exhaustion t <> None
 
 (* Obs routes these through the per-job buffer when called inside a Par
    worker (merged at the fan-in) and straight to the registry on the
-   owning domain; the ledger records in parallel with its own lock. *)
+   owning domain. *)
 let event ?(severity = Severity.Info) ~counter name args =
   if Obs.enabled () then begin
     Obs.incr_counter counter;
@@ -127,16 +115,13 @@ let event ?(severity = Severity.Info) ~counter name args =
 let opt_int = function None -> Json.Null | Some n -> Json.Int n
 
 let note_degraded t ~what reason =
-  (match t.ledger with
-  | Some l ->
-      Ledger.record l ~node:t.label
-        (Ledger.Degraded { what; reason = Degrade.reason_string reason })
-  | None -> ());
+  let r = Degrade.reason_string reason in
+  update t.degradations (fun rs -> if List.mem r rs then rs else r :: rs);
   event ~severity:Severity.Warn ~counter:"gov.degradations" "gov.degrade"
     [
       ("gov", Json.Str t.label);
       ("what", Json.Str what);
-      ("reason", Json.Str (Degrade.reason_string reason));
+      ("reason", Json.Str r);
     ]
 
 (* --- hierarchy -------------------------------------------------------- *)
@@ -178,11 +163,7 @@ let with_retry ?label:(l = "engine") t ~inconclusive run =
     if inconclusive r && attempt < t.budget.Budget.retries
        && not (out_of_budget t)
     then begin
-      (match t.ledger with
-      | Some led ->
-          Ledger.record led ~node:t.label
-            (Ledger.Retry { what = l; attempt = attempt + 1 })
-      | None -> ());
+      Atomic.incr t.retries;
       event ~counter:"gov.retries" "gov.retry"
         [
           ("gov", Json.Str t.label);
@@ -201,3 +182,147 @@ let pp fmt t =
       | None -> ()
       | Some r -> Fmt.pf fmt " [%s]" (Degrade.reason_string r))
     (exhaustion t)
+
+(* --- the budget waterfall --------------------------------------------- *)
+
+type row = {
+  label : string;
+  parent : string option;
+  depth : int;
+  created : int;
+  granted_conflicts : int option;
+  granted_patterns : int option;
+  granted_deadline_s : float option;
+  granted_retries : int;
+  charged_conflicts : int;
+  charged_patterns : int;
+  subtree_conflicts : int;
+  subtree_patterns : int;
+  retries : int;
+  degradations : string list;
+  first_at_us : float;
+}
+
+(* charges propagate, so a node's own charge is its spend less its
+   children's *)
+let self spent (t : t) =
+  List.fold_left
+    (fun acc c -> acc - Atomic.get (spent c))
+    (Atomic.get (spent t))
+    (Atomic.get t.children)
+
+(* Nodes aggregate by label (a label reused by several nodes is one
+   row); rows come roots first, then children sorted by label — the
+   tree's shape is pool-width-invariant even when creation order is
+   not. *)
+let waterfall (root : t) =
+  let groups : (string, t list) Hashtbl.t = Hashtbl.create 64 in
+  let rec visit (n : t) =
+    let same = Option.value ~default:[] (Hashtbl.find_opt groups n.label) in
+    Hashtbl.replace groups n.label (n :: same);
+    List.iter visit (Atomic.get n.children)
+  in
+  visit root;
+  let sum f = List.fold_left (fun acc n -> acc + f n) 0 in
+  let add_grant acc g =
+    match (acc, g) with Some a, Some b -> Some (a + b) | _ -> None
+  in
+  let grant f = List.fold_left (fun acc n -> add_grant acc (f n)) (Some 0) in
+  let row label (nodes : t list) =
+    let first =
+      List.fold_left
+        (fun (a : t) (n : t) -> if n.created < a.created then n else a)
+        (List.hd nodes) nodes
+    in
+    {
+      label;
+      parent = Option.map (fun (p : t) -> p.label) first.parent;
+      depth = 0;
+      created = List.length nodes;
+      granted_conflicts = grant (fun n -> n.budget.Budget.conflicts) nodes;
+      granted_patterns = grant (fun n -> n.budget.Budget.patterns) nodes;
+      granted_deadline_s =
+        Option.map (fun d -> d -. first.created) first.budget.Budget.deadline;
+      granted_retries =
+        List.fold_left (fun acc n -> max acc n.budget.Budget.retries) 0 nodes;
+      charged_conflicts = sum (self (fun n -> n.spent_conflicts)) nodes;
+      charged_patterns = sum (self (fun n -> n.spent_patterns)) nodes;
+      subtree_conflicts = sum spent_conflicts nodes;
+      subtree_patterns = sum spent_patterns nodes;
+      retries = sum (fun (n : t) -> Atomic.get n.retries) nodes;
+      degradations =
+        List.sort_uniq compare
+          (List.concat_map (fun (n : t) -> Atomic.get n.degradations) nodes);
+      first_at_us = (first.created -. root.created) *. 1e6;
+    }
+  in
+  let rows = Hashtbl.fold (fun l ns acc -> row l ns :: acc) groups [] in
+  let labels rs = List.sort compare (List.map (fun r -> r.label) rs) in
+  let children l = labels (List.filter (fun r -> r.parent = Some l) rows) in
+  let roots =
+    labels
+      (List.filter
+         (fun r ->
+           match r.parent with
+           | None -> true
+           | Some p -> not (Hashtbl.mem groups p))
+         rows)
+  in
+  let rec emit depth l =
+    let r = List.find (fun r -> r.label = l) rows in
+    { r with depth } :: List.concat_map (emit (depth + 1)) (children l)
+  in
+  List.concat_map (emit 0) roots
+
+let row_to_json ~timings (r : row) =
+  Json.Obj
+    [
+      ("node", Json.Str r.label);
+      ("parent", match r.parent with Some p -> Json.Str p | None -> Json.Null);
+      ("depth", Json.Int r.depth);
+      ("created", Json.Int r.created);
+      ("granted_conflicts", opt_int r.granted_conflicts);
+      ("granted_patterns", opt_int r.granted_patterns);
+      ( "granted_deadline_s",
+        if timings then
+          match r.granted_deadline_s with
+          | Some d -> Json.Float d
+          | None -> Json.Null
+        else Json.Null );
+      ("granted_retries", Json.Int r.granted_retries);
+      ("charged_conflicts", Json.Int r.charged_conflicts);
+      ("charged_patterns", Json.Int r.charged_patterns);
+      ("subtree_conflicts", Json.Int r.subtree_conflicts);
+      ("subtree_patterns", Json.Int r.subtree_patterns);
+      ("retries", Json.Int r.retries);
+      ("degradations", Json.List (List.map (fun d -> Json.Str d) r.degradations));
+      ("first_at_us", Json.Float (if timings then r.first_at_us else 0.));
+    ]
+
+let waterfall_to_json ?(timings = true) rows =
+  Json.List (List.map (row_to_json ~timings) rows)
+
+let grant_cell c p =
+  let one = function None -> "∞" | Some n -> string_of_int n in
+  Printf.sprintf "%s / %s" (one c) (one p)
+
+let waterfall_to_markdown rows =
+  let b = Buffer.create 1024 in
+  Buffer.add_string b
+    "| governor | granted (confl/patt) | spent (confl/patt) | subtree \
+     (confl/patt) | retries | degraded |\n";
+  Buffer.add_string b "|---|---|---|---|---|---|\n";
+  List.iter
+    (fun (r : row) ->
+      Buffer.add_string b
+        (Printf.sprintf "| %s%s | %s | %d / %d | %d / %d | %d | %s |\n"
+           (String.concat "" (List.init r.depth (fun _ -> "&nbsp;&nbsp;")))
+           r.label
+           (grant_cell r.granted_conflicts r.granted_patterns)
+           r.charged_conflicts r.charged_patterns r.subtree_conflicts
+           r.subtree_patterns r.retries
+           (match r.degradations with
+           | [] -> "—"
+           | ds -> String.concat ", " ds)))
+    rows;
+  Buffer.contents b

@@ -19,23 +19,22 @@
 
     Telemetry: splits, exhaustions, retries and degradations are
     reported as [gov.*] events and counters whenever [Symbad_obs] is
-    enabled (buffered and merged when emitted inside a Par job).  With a
-    {!Ledger} attached at the root, every node creation, charge, retry
-    and degradation is additionally recorded as a timestamped ledger
-    entry — the budget waterfall `symbad report` renders. *)
+    enabled (buffered and merged when emitted inside a Par job).  Each
+    node also keeps its children, retry count, degradation reasons and
+    creation time, so the tree itself is the budget record: {!waterfall}
+    reads it back as the table `symbad report` renders. *)
 
 type t
 
-val create : ?label:string -> ?cancel:Cancel.t -> ?ledger:Ledger.t -> Budget.t -> t
+val create : ?label:string -> ?cancel:Cancel.t -> Budget.t -> t
 (** A root governor over [budget].  [label] names it in telemetry
-    (default ["gov"]); [cancel] defaults to {!Cancel.none}; [ledger],
-    when given, records the budget timeline of the whole tree (children
-    inherit it). *)
+    (default ["gov"]); [cancel] defaults to {!Cancel.none}. *)
 
 val unlimited : t
 (** The shared do-nothing governor: unlimited budget, never cancelled.
     What engine entry points use when handed no governor — identical
-    behaviour to the pre-governor code. *)
+    behaviour to the pre-governor code.  Being process-wide, it does not
+    keep the children {!split} and {!slice} derive from it. *)
 
 val get : t option -> t
 (** [get (Some g)] is [g]; [get None] is {!unlimited} — the idiom for
@@ -48,14 +47,12 @@ val budget : t -> Budget.t
 
 val cancel_token : t -> Cancel.t
 
-val ledger : t -> Ledger.t option
-(** The ledger this tree records into, if one was attached. *)
-
 (** {1 Spend accounting} *)
 
 val charge_conflicts : t -> int -> unit
 (** Record SAT conflicts spent.  Propagates to every ancestor.
-    Domain-safe; negative or zero charges are ignored. *)
+    Domain-safe (atomic adds only); negative or zero charges are
+    ignored. *)
 
 val charge_patterns : t -> int -> unit
 (** Record test patterns / simulation units spent.  Same contract as
@@ -68,8 +65,7 @@ val patterns_left : t -> int option
 
 val spent_conflicts : t -> int
 (** Total conflicts charged to this node and its whole subtree (charges
-    propagate upward).  At the root this equals the ledger's
-    {!Ledger.spent_conflicts} exactly. *)
+    propagate upward). *)
 
 val spent_patterns : t -> int
 
@@ -122,7 +118,41 @@ val with_retry :
 val note_degraded : t -> what:string -> Degrade.reason -> unit
 (** Report that a run under this governor degraded: a [gov.degrade]
     warning event plus the [gov.degradations] counter (buffered on
-    worker domains), and a ledger entry when one is attached. *)
+    worker domains); the node keeps the reason for {!waterfall}. *)
 
 val pp : Format.formatter -> t -> unit
 (** Label, remaining budget and exhaustion state. *)
+
+(** {1 Budget waterfall} *)
+
+type row = {
+  label : string;
+  parent : string option;  (** the parent's label *)
+  depth : int;  (** tree depth, for indentation *)
+  created : int;  (** nodes under this label *)
+  granted_conflicts : int option;  (** summed grants; [None] if any unlimited *)
+  granted_patterns : int option;
+  granted_deadline_s : float option;
+      (** seconds left at the first node's creation *)
+  granted_retries : int;  (** the largest retry grant *)
+  charged_conflicts : int;  (** charges on these nodes alone *)
+  charged_patterns : int;
+  subtree_conflicts : int;  (** these nodes plus every descendant *)
+  subtree_patterns : int;
+  retries : int;  (** re-dispatches by {!with_retry} *)
+  degradations : string list;  (** sorted, deduplicated *)
+  first_at_us : float;  (** first creation, relative to the root's *)
+}
+
+val waterfall : t -> row list
+(** The tree under a governor, one row per label (nodes sharing a label
+    are summed), in deterministic tree order: roots, then each node's
+    children sorted by label.  A node's own charge is its spend less its
+    children's.  Read it once the work under the tree has finished. *)
+
+val waterfall_to_json : ?timings:bool -> row list -> Symbad_obs.Json.t
+(** The rows as a JSON list; [~timings:false] zeroes the timestamps and
+    deadline grants for reproducible output. *)
+
+val waterfall_to_markdown : row list -> string
+(** The rows as a markdown table (logical columns only). *)

@@ -37,24 +37,6 @@ let structurally_sound nl =
   | _ -> true
   | exception _ -> false
 
-(* Same predicate as [net.no-reset], shared so the X model and the
-   rule can never disagree. *)
-let unreset_registers nl =
-  let resets =
-    List.filter
-      (fun (n, _) ->
-        List.mem (String.lowercase_ascii n) Netlist_rules.reset_like)
-      (Netlist.inputs nl)
-  in
-  if resets = [] then []
-  else
-    List.filter_map
-      (fun (r : Netlist.register) ->
-        let seen = Netlist_rules.cone nl ~through_regs:false [ r.Netlist.next ] in
-        if List.exists (fun (n, _) -> Hashtbl.mem seen n) resets then None
-        else Some r.Netlist.name)
-      (Netlist.registers nl)
-
 exception Unresolved
 
 (* Abstract evaluation of an expression under a register environment.
@@ -112,12 +94,16 @@ let rec eval ?hook nl env visited (e : Expr.t) : VD.t =
 let widen_after = 8
 let max_iterations = 64
 
-let analyze ?(properties = []) nl =
-  ignore properties;
+let analyze nl =
   if not (structurally_sound nl) then None
   else
     let regs = Netlist.registers nl in
-    let xregs = unreset_registers nl in
+    (* the [net.no-reset] predicate, so the X model and the rule agree *)
+    let xregs =
+      List.map
+        (fun (r : Netlist.register) -> r.Netlist.name)
+        (Netlist_rules.unreset_registers nl)
+    in
     let init_of (r : Netlist.register) =
       if List.mem r.Netlist.name xregs then VD.x ~width:r.Netlist.width
       else VD.const r.Netlist.init
@@ -153,7 +139,7 @@ let analyze ?(properties = []) nl =
     Some { nl; env = iterate 0 env0; xregs }
 
 let with_analysis (ctx : Netlist_rules.ctx) f =
-  match analyze ~properties:ctx.Netlist_rules.properties ctx.Netlist_rules.nl with
+  match analyze ctx.Netlist_rules.nl with
   | None -> []
   | Some a -> f a
 

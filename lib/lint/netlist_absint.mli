@@ -16,10 +16,7 @@
 
 type analysis
 
-val analyze :
-  ?properties:(string * Symbad_hdl.Expr.t) list ->
-  Symbad_hdl.Netlist.t ->
-  analysis option
+val analyze : Symbad_hdl.Netlist.t -> analysis option
 (** [None] when the netlist is not structurally sound. *)
 
 val reg_value : analysis -> string -> Value_domain.t option
@@ -27,7 +24,8 @@ val reg_value : analysis -> string -> Value_domain.t option
 
 val x_registers : analysis -> string list
 (** Registers modelled as X after reset: an explicit reset-like input
-    exists and their next-state cone never reads it. *)
+    exists and their next-state cone never reads it — the registers
+    [net.no-reset] reports. *)
 
 (** {1 The rule implementations} *)
 

@@ -414,32 +414,38 @@ let rule_dead_logic ctx =
 
 let reset_like = [ "reset"; "rst"; "rst_n"; "arst"; "nreset" ]
 
-let rule_no_reset ctx =
-  let nl = ctx.nl in
-  let mk = diag ctx ~rule:"net.no-reset" ~severity:D.Warning in
-  let resets =
-    List.filter
-      (fun (n, _) -> List.mem (String.lowercase_ascii n) reset_like)
-      (Netlist.inputs nl)
-  in
-  if resets = [] then
-    (* registers reset through their init values; without an explicit
-       reset input there is no reset path to cover *)
-    []
+let reset_inputs nl =
+  List.filter
+    (fun (n, _) -> List.mem (String.lowercase_ascii n) reset_like)
+    (Netlist.inputs nl)
+
+(* The one reset predicate: registers whose next-state cone reads no
+   reset input.  [net.no-reset] reports them and the abstract
+   interpreter starts them at X, so the two can never disagree.  Without
+   an explicit reset input registers reset through their init values,
+   and there is no reset path to cover. *)
+let unreset_registers nl =
+  let resets = reset_inputs nl in
+  if resets = [] then []
   else
-    List.filter_map
+    List.filter
       (fun (r : Netlist.register) ->
         let seen = cone nl ~through_regs:false [ r.Netlist.next ] in
-        if List.exists (fun (n, _) -> Hashtbl.mem seen n) resets then None
-        else
-          Some
-            (mk
-               ~location:("register " ^ r.Netlist.name)
-               ~hint:
-                 (Printf.sprintf "gate next(%s) with input '%s'"
-                    r.Netlist.name
-                    (fst (List.hd resets)))
-               (Printf.sprintf
-                  "register '%s' has no path from any reset input"
-                  r.Netlist.name)))
+        not (List.exists (fun (n, _) -> Hashtbl.mem seen n) resets))
       (Netlist.registers nl)
+
+let rule_no_reset ctx =
+  let mk = diag ctx ~rule:"net.no-reset" ~severity:D.Warning in
+  match reset_inputs ctx.nl with
+  | [] -> []
+  | (reset, _) :: _ ->
+      List.map
+        (fun (r : Netlist.register) ->
+          mk
+            ~location:("register " ^ r.Netlist.name)
+            ~hint:
+              (Printf.sprintf "gate next(%s) with input '%s'" r.Netlist.name
+                 reset)
+            (Printf.sprintf "register '%s' has no path from any reset input"
+               r.Netlist.name))
+        (unreset_registers ctx.nl)

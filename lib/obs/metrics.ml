@@ -73,7 +73,6 @@ let last g = g.g_last
 let samples g = List.rev g.g_samples
 
 let observe h v = Histogram.observe h.h_hist v
-let hist h = h.h_hist
 
 (* --- lookups (for guards and tests) --- *)
 

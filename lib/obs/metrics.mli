@@ -49,9 +49,6 @@ val histogram : t -> string -> histogram
 val observe : histogram -> int -> unit
 (** Record one observation. *)
 
-val hist : histogram -> Histogram.t
-(** The underlying {!Histogram.t} (for reading bucket data). *)
-
 (** {1 Lookup} *)
 
 val find_counter : t -> string -> int option

@@ -54,7 +54,6 @@ let sinks : Sink.t list ref = ref []
 let tracer () = !tracer_ref
 let metrics () = !metrics_ref
 let add_sink s = sinks := s :: !sinks
-let sink_list () = !sinks
 
 let reset () =
   tracer_ref := Tracer.create ();

@@ -33,9 +33,6 @@ val metrics : unit -> Metrics.t
 val add_sink : Sink.t -> unit
 (** Register an event sink; every subsequent {!event} reaches it. *)
 
-val sink_list : unit -> Sink.t list
-(** The registered sinks, in registration order. *)
-
 val reset : unit -> unit
 (** Fresh tracer, fresh registry, no sinks, dropped count zeroed.  Does
     not change the enabled flag. *)

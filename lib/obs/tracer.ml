@@ -58,9 +58,6 @@ type instant = {
   i_args : (string * Json.t) list;
 }
 
-(* one sample of a Chrome counter track (ph "C") *)
-type counter_sample = { c_name : string; c_ts_us : float; c_value : float }
-
 type t = {
   epoch_us : float;
   tracks : (string, track) Hashtbl.t;
@@ -71,7 +68,6 @@ type t = {
   mutable completed : completed list;  (* newest first *)
   links : (int, unit) Hashtbl.t;  (* spans parented by [absorb] *)
   mutable instants : instant list;
-  mutable counters : counter_sample list;  (* newest first *)
   mutable completed_count : int;
 }
 
@@ -90,7 +86,6 @@ let create () =
     completed = [];
     links = Hashtbl.create 16;
     instants = [];
-    counters = [];
     completed_count = 0;
   }
 
@@ -191,15 +186,6 @@ let instant t ?(track = default_track) ?(severity = Severity.Info)
     }
     :: t.instants
 
-let counter_sample t ?ts_us name value =
-  t.counters <-
-    {
-      c_name = name;
-      c_ts_us = (match ts_us with Some ts -> ts | None -> now_us ());
-      c_value = value;
-    }
-    :: t.counters
-
 let span_count t = t.completed_count
 
 let completed_spans t = List.rev t.completed
@@ -294,16 +280,6 @@ let to_chrome_json t =
         ("args", Json.Obj (sim_args i.i_sim_ns None @ i.i_args));
       ]
   in
-  let counter_event (c : counter_sample) =
-    Json.Obj
-      [
-        ("name", Json.Str c.c_name);
-        ("ph", Json.Str "C");
-        ("pid", Json.Int 1);
-        ("ts", Json.Float (rel c.c_ts_us));
-        ("args", Json.Obj [ ("value", Json.Float c.c_value) ]);
-      ]
-  in
   (* the [absorb] links render as flow arrows dispatch → job root *)
   let by_id = Hashtbl.create 64 in
   List.iter (fun (c : completed) -> Hashtbl.replace by_id c.id c) t.completed;
@@ -353,6 +329,5 @@ let to_chrome_json t =
              (List.map thread_name tracks
              @ List.map span_event spans
              @ List.concat_map flow_events spans
-             @ List.map instant_event (List.rev t.instants)
-             @ List.map counter_event (List.rev t.counters)) );
+             @ List.map instant_event (List.rev t.instants)) );
        ])

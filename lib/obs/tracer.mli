@@ -84,10 +84,6 @@ val instant :
     timestamp (absolute host microseconds) — the merge path uses it to
     replay events recorded on worker domains at their original time. *)
 
-val counter_sample : t -> ?ts_us:float -> string -> float -> unit
-(** One sample of a named Chrome counter track (ph ["C"]) — the budget
-    waterfall exports the governor's cumulative spend this way. *)
-
 val span_count : t -> int
 (** Number of completed spans. *)
 
@@ -107,8 +103,7 @@ val absorb : t -> lane:int -> ?parent:span -> t -> unit
     {!lane_track}, and the root spans of [from] parented to [parent] (a
     span open in [into], whose self time then excludes them) — the one
     span merge, for a [Par] job into the owner timeline and for a nested
-    map into its dispatching job alike.  [from]'s instants and counter
-    samples are not moved. *)
+    map into its dispatching job alike.  [from]'s instants are not moved. *)
 
 val to_chrome_json : t -> string
 (** The whole timeline as a Chrome trace_event JSON document, with one

@@ -2,10 +2,10 @@
 
    [assemble] runs everything the methodology prescribes for one workload
    — the four-level flow, the static lints, the fault campaign — under a
-   single governor tree with a ledger attached, with telemetry on, and
-   snapshots what the run left behind (span profile, merged counters and
-   histograms, trace summary, budget waterfall) into one record that
-   renders as JSON or markdown.
+   single governor tree with telemetry on, and snapshots what the run
+   left behind (span profile, merged counters and histograms, trace
+   summary, budget waterfall) into one record that renders as JSON or
+   markdown.
 
    Determinism contract: everything in the rendered forms is either
    derived from simulated time / logical spend (byte-identical at any
@@ -29,7 +29,6 @@ module Histogram = Symbad_obs.Histogram
 module Json = Symbad_obs.Json
 module Gov = Symbad_gov.Gov
 module Budget = Symbad_gov.Budget
-module Ledger = Symbad_gov.Ledger
 module Lint = Symbad_lint.Lint
 module Campaign = Symbad_resil.Campaign
 module Recovery = Symbad_resil.Recovery
@@ -52,8 +51,8 @@ type t = {
   lint_reports : Lint.report list;
   lint : Lint.report;  (** the reports merged *)
   faults : Campaign.report option;
-  ledger : Ledger.t;
-  gov_conflicts : int;  (** root governor spend, = ledger sums *)
+  waterfall : Gov.row list;
+  gov_conflicts : int;  (** root governor spend *)
   gov_patterns : int;
   profile : profile_row list;  (** unordered; rendering sorts *)
   counters : (string * int) list;  (** name-sorted *)
@@ -134,10 +133,8 @@ let assemble ?pool ?cache ?(seed = 1) ?(workload = Face_app.default_workload)
      it); only the flag is restored for callers that had it off *)
   Fun.protect ~finally:(fun () -> if not had then Obs.set_enabled false)
   @@ fun () ->
-  let ledger = Ledger.create () in
   let root =
-    Gov.create ~label:"run" ~ledger
-      (Option.value budget ~default:Budget.unlimited)
+    Gov.create ~label:"run" (Option.value budget ~default:Budget.unlimited)
   in
   let flow =
     Flow.run ?pool ?cache ~seed ~workload ~escalate
@@ -185,8 +182,6 @@ let assemble ?pool ?cache ?(seed = 1) ?(workload = Face_app.default_workload)
           (Metrics.find_histogram m n))
       metric_names
   in
-  (* the trace-side budget waterfall: cumulative spend as counter tracks *)
-  Ledger.counter_track ledger tracer;
   let all_passed =
     flow.Flow.all_passed
     && Lint.errors lint = 0
@@ -202,7 +197,7 @@ let assemble ?pool ?cache ?(seed = 1) ?(workload = Face_app.default_workload)
     lint_reports;
     lint;
     faults = fault_report;
-    ledger;
+    waterfall = Gov.waterfall root;
     gov_conflicts = Gov.spent_conflicts root;
     gov_patterns = Gov.spent_patterns root;
     profile = profile_of_spans spans;
@@ -286,14 +281,18 @@ let to_json ?(timings = true) t =
         ( "faults",
           match t.faults with Some r -> Campaign.to_json r | None -> Json.Null
         );
-        ("budget", Ledger.to_json ~timings t.ledger);
+        ( "budget",
+          Json.Obj
+            [
+              ("spent_conflicts", Json.Int t.gov_conflicts);
+              ("spent_patterns", Json.Int t.gov_patterns);
+              ("waterfall", Gov.waterfall_to_json ~timings t.waterfall);
+            ] );
         ( "gov",
           Json.Obj
             [
               ("spent_conflicts", Json.Int t.gov_conflicts);
               ("spent_patterns", Json.Int t.gov_patterns);
-              ("ledger_conflicts", Json.Int (Ledger.spent_conflicts t.ledger));
-              ("ledger_patterns", Json.Int (Ledger.spent_patterns t.ledger));
             ] );
         ( "profile",
           Json.List (List.map profile_json (sorted_profile ~timings t.profile))
@@ -375,12 +374,10 @@ let to_markdown ?(timings = true) t =
       line "");
   line "## Budget waterfall";
   line "";
-  line "- spent: %d conflicts, %d patterns (governor) / %d, %d (ledger)"
-    t.gov_conflicts t.gov_patterns
-    (Ledger.spent_conflicts t.ledger)
-    (Ledger.spent_patterns t.ledger);
+  line "- spent: %d conflicts, %d patterns (governor)" t.gov_conflicts
+    t.gov_patterns;
   line "";
-  Buffer.add_string b (Ledger.to_markdown t.ledger);
+  Buffer.add_string b (Gov.waterfall_to_markdown t.waterfall);
   line "";
   line "## Profile";
   line "";

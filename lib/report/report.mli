@@ -1,8 +1,8 @@
 (** The unified verification report: one [assemble] runs the whole
     methodology — the four-level flow, the static lints and the fault
-    campaign — under a single governor tree with a {!Symbad_gov.Ledger}
-    attached and telemetry on, then snapshots everything the run left
-    behind into one self-contained record.
+    campaign — under a single governor tree with telemetry on, then
+    snapshots everything the run left behind into one self-contained
+    record.
 
     The record carries the verdict table, the lint diagnostics, the
     per-span self-time profile, the merged counters and histograms (all
@@ -35,10 +35,11 @@ type t = {
   lint_reports : Symbad_lint.Lint.report list;
   lint : Symbad_lint.Lint.report;  (** the reports merged *)
   faults : Symbad_resil.Campaign.report option;
-  ledger : Symbad_gov.Ledger.t;
+  waterfall : Symbad_gov.Gov.row list;
+      (** {!Symbad_gov.Gov.waterfall} of the run's root governor *)
   gov_conflicts : int;
-      (** root governor spend; equals {!Symbad_gov.Ledger.spent_conflicts}
-          of [ledger] — the invariant the report tests assert *)
+      (** root governor spend; equals the root row's [subtree_conflicts]
+          — the invariant the report tests assert *)
   gov_patterns : int;
   profile : profile_row list;  (** unordered; rendering sorts *)
   counters : (string * int) list;  (** name-sorted *)
@@ -77,9 +78,8 @@ val assemble :
     the report verdict; disproved ones fail it.
 
     Telemetry is reset and force-enabled for the duration; it is left
-    populated on return (the CLI exports the Chrome trace from it — the
-    ledger's spend is already replayed onto counter tracks), and the
-    enabled flag is restored for callers that had it off. *)
+    populated on return (the CLI exports the Chrome trace from it), and
+    the enabled flag is restored for callers that had it off. *)
 
 val lint_corpus :
   ?pool:Symbad_par.Par.pool ->

@@ -753,16 +753,3 @@ let compare_modes_markdown ~scrub ~tmr =
         (Printf.sprintf "| %s ns | %d | %d |\n" bucket (c scrub) (c tmr)))
     buckets;
   Buffer.contents b
-
-(* The unified-driver shape (Core.Engines): run + consolidate. *)
-let check ?gov ?pool ?jobs ?mode ?kinds ?trials_per_kind ?workload
-    ?scrub_period_ns ~seed () =
-  let go pool =
-    verdict
-      (run ~pool ?gov ?mode ?kinds ?trials_per_kind ?workload
-         ?scrub_period_ns ~seed ())
-  in
-  match (pool, jobs) with
-  | Some p, _ -> go p
-  | None, None -> go Symbad_par.Par.sequential
-  | None, Some jobs -> Symbad_par.Par.with_pool ~jobs go

@@ -278,17 +278,14 @@ let qcheck_budget_monotone =
       | Symbad_mc.Engine.Falsified _, Symbad_mc.Engine.Falsified _ -> true
       | _ -> false)
 
-(* --- the budget-timeline ledger --- *)
+(* --- the budget waterfall --- *)
 
-(* every charge lands in the ledger exactly once (on the directly
-   charged node), even when the charging happens from worker domains,
-   so the ledger sums equal the root's propagated spend counters *)
-let ledger_sums_match_spend () =
-  let module Ledger = Symbad_gov.Ledger in
-  let ledger = Ledger.create () in
+(* the governor tree is the budget record: charges made on worker
+   domains land on their nodes, and each row's own charge (spend less
+   the children's) adds up to the root's propagated spend *)
+let waterfall_matches_spend () =
   let root =
-    Gov.create ~label:"root" ~ledger
-      (Budget.make ~conflicts:10_000 ~patterns:10_000 ())
+    Gov.create ~label:"root" (Budget.make ~conflicts:10_000 ~patterns:10_000 ())
   in
   let children = Gov.split ~label:"work" root 4 in
   Par.with_pool ~jobs:3 (fun pool ->
@@ -301,20 +298,30 @@ let ledger_sums_match_spend () =
            (List.mapi (fun i c -> (i, c)) children)));
   Gov.charge_conflicts (Gov.slice ~label:"tail" ~fraction:0.5 root) 7;
   check_int "root conflicts spend" 107 (Gov.spent_conflicts root);
-  check_int "ledger conflicts sum" (Gov.spent_conflicts root)
-    (Ledger.spent_conflicts ledger);
-  check_int "ledger patterns sum" (Gov.spent_patterns root)
-    (Ledger.spent_patterns ledger);
-  let rows = Ledger.waterfall ledger in
+  let rows = Gov.waterfall root in
   (* root + 4 split children + 1 slice *)
   check_int "one waterfall row per node" 6 (List.length rows);
-  let row label = List.find (fun r -> r.Ledger.label = label) rows in
+  let sum f = List.fold_left (fun acc r -> acc + f r) 0 rows in
+  check_int "row conflicts sum to root spend" (Gov.spent_conflicts root)
+    (sum (fun r -> r.Gov.charged_conflicts));
+  check_int "row patterns sum to root spend" (Gov.spent_patterns root)
+    (sum (fun r -> r.Gov.charged_patterns));
+  let row label = List.find (fun r -> r.Gov.label = label) rows in
   check_int "root subtree includes every worker charge" 107
-    (row "root").Ledger.subtree_conflicts;
+    (row "root").Gov.subtree_conflicts;
   check_int "slice charge on its own row" 7
-    (row "root.tail").Ledger.charged_conflicts;
+    (row "root.tail").Gov.charged_conflicts;
   check_bool "waterfall order is deterministic" true
-    (rows = Ledger.waterfall ledger)
+    (rows = Gov.waterfall root);
+  check_bool "roots first, children by label" true
+    (List.map (fun r -> r.Gov.label) rows
+    = [ "root"; "root.tail"; "root.work/0"; "root.work/1"; "root.work/2";
+        "root.work/3" ]);
+  (* the process-wide unlimited governor keeps no children *)
+  ignore (Gov.split Gov.unlimited 3);
+  ignore (Gov.slice ~fraction:0.5 Gov.unlimited);
+  check_int "unlimited is one row after splits" 1
+    (List.length (Gov.waterfall Gov.unlimited))
 
 let suite =
   [
@@ -332,7 +339,7 @@ let suite =
     Alcotest.test_case "zero budget: LPV not analyzable" `Quick lpv_degrades;
     Alcotest.test_case "zero-budget flow is deterministic" `Quick
       flow_zero_budget_deterministic;
-    Alcotest.test_case "ledger sums match governor spend" `Quick
-      ledger_sums_match_spend;
+    Alcotest.test_case "waterfall rows match governor spend" `Quick
+      waterfall_matches_spend;
     QCheck_alcotest.to_alcotest qcheck_budget_monotone;
   ]

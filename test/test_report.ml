@@ -1,14 +1,13 @@
 (* Tests for the unified verification report: the md5 width-invariance
    acceptance property (the no-timings JSON and markdown renders are
-   byte-identical at --jobs 1/2/4), the gov-spend-equals-ledger-sums
-   invariant, and that the JSON export parses back with every section
+   byte-identical at --jobs 1/2/4), the root waterfall row carrying the
+   governor's spend, and that the JSON export parses back with every section
    present.  Runs under a small logical budget so each assemble is a
    sub-second governed run rather than the full unlimited flow. *)
 
 open Symbad_obs
 module Par = Symbad_par.Par
 module Budget = Symbad_gov.Budget
-module Ledger = Symbad_gov.Ledger
 module Report = Symbad_report.Report
 
 let check_int = Alcotest.(check int)
@@ -48,13 +47,15 @@ let report_md5_width_invariant () =
   check_str "markdown md5 jobs=2 equals jobs=1" m1 m2;
   check_str "markdown md5 jobs=4 equals jobs=1" m1 m4
 
-let gov_spend_equals_ledger_sums () =
+let waterfall_root_equals_gov_spend () =
   let r = assemble ~jobs:2 in
   check_bool "some spend recorded" true (r.Report.gov_conflicts > 0);
-  check_int "conflicts: ledger sums equal gov spend" r.Report.gov_conflicts
-    (Ledger.spent_conflicts r.Report.ledger);
-  check_int "patterns: ledger sums equal gov spend" r.Report.gov_patterns
-    (Ledger.spent_patterns r.Report.ledger);
+  let root = List.hd r.Report.waterfall in
+  check_str "root row first" "run" root.Symbad_gov.Gov.label;
+  check_int "conflicts: root row subtree equals gov spend"
+    r.Report.gov_conflicts root.Symbad_gov.Gov.subtree_conflicts;
+  check_int "patterns: root row subtree equals gov spend"
+    r.Report.gov_patterns root.Symbad_gov.Gov.subtree_patterns;
   check_int "no telemetry dropped" 0 r.Report.dropped
 
 let json_parses_back () =
@@ -79,8 +80,16 @@ let json_parses_back () =
   in
   check_int "json gov spend equals record" r.Report.gov_conflicts
     (num "spent_conflicts");
-  check_int "json ledger sum equals record" r.Report.gov_conflicts
-    (num "ledger_conflicts");
+  let root_subtree =
+    match Option.bind (Json.member "budget" doc) (Json.member "waterfall") with
+    | Some (Json.List (row :: _)) -> (
+        match Option.bind (Json.member "subtree_conflicts" row) Json.to_number with
+        | Some v -> int_of_float v
+        | None -> Alcotest.fail "root row has no subtree_conflicts")
+    | _ -> Alcotest.fail "budget.waterfall missing or empty"
+  in
+  check_int "json root row subtree equals gov spend" r.Report.gov_conflicts
+    root_subtree;
   (* worker-lane totals present: the merged counters made it out *)
   check_bool "counters section non-empty" true (r.Report.counters <> []);
   check_bool "spans recorded" true (r.Report.span_total > 0)
@@ -138,8 +147,8 @@ let suite =
   [
     Alcotest.test_case "report md5 is pool-width invariant" `Slow
       report_md5_width_invariant;
-    Alcotest.test_case "gov spend equals ledger sums" `Quick
-      gov_spend_equals_ledger_sums;
+    Alcotest.test_case "waterfall root equals gov spend" `Quick
+      waterfall_root_equals_gov_spend;
     Alcotest.test_case "json parses back with every section" `Quick
       json_parses_back;
     Alcotest.test_case "markdown has every section" `Quick
