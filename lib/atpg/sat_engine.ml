@@ -1,17 +1,16 @@
 (* SAT-based test generation (the formal engine of Laerte++).
 
    Works on the RTL view of a module: to cover the bit-coverage point
-   "output o, bit i, polarity v at depth d", it asks the SAT solver for
-   an input sequence driving that bit to that polarity, by unrolling the
-   netlist.  Complete on the covered depth: if the solver says UNSAT the
-   point is formally unreachable and excluded from the denominator —
+   "output o, bit i, polarity v at depth d", it poses "the bit never
+   takes that polarity" as an invariant to one incremental BMC session
+   ([Mc.Session.check_upto]); a counterexample's inputs are the test.
+   Complete on the covered depth: if the invariant holds at every bound
+   the point is formally unreachable and excluded from the denominator —
    something no simulation-based engine can conclude. *)
 
-module Solver = Symbad_sat.Solver
-module Hdl = Symbad_hdl
 module Netlist = Symbad_hdl.Netlist
-module Unroll = Symbad_hdl.Unroll
 module Expr = Symbad_hdl.Expr
+module Mc = Symbad_mc
 
 type target = { output : string; bit : int; polarity : bool }
 
@@ -30,12 +29,6 @@ let all_targets nl =
         (List.init w (fun i -> i)))
     (Netlist.outputs nl)
 
-(* Pack one frame's inputs into a vector following the netlist order. *)
-let inputs_at solver u frame nl =
-  Array.of_list
-    (List.map (fun (n, _) -> Unroll.input_value solver u frame n)
-       (Netlist.inputs nl))
-
 let cover_target ?(max_depth = 8) nl target =
   let out_expr =
     match Netlist.find_output nl target.output with
@@ -46,25 +39,19 @@ let cover_target ?(max_depth = 8) nl target =
   if target.bit < 0 || target.bit >= w then
     invalid_arg "Sat_engine: bit out of range";
   let bit_expr = Expr.slice out_expr ~hi:target.bit ~lo:target.bit in
-  let goal =
-    if target.polarity then bit_expr
-    else Expr.not_ bit_expr
-  in
-  let rec at k =
-    if k > max_depth then Unreachable
-    else begin
-      let solver = Solver.create 0 in
-      let u = Unroll.create ~init:Unroll.Reset solver nl in
-      Unroll.unroll_to u (k + 1);
-      Solver.add_clause solver [ Unroll.bool_lit u k goal ];
-      match Solver.solve solver with
-      | Solver.Sat ->
-          Test (List.init (k + 1) (fun i -> inputs_at solver u i nl))
-      | Solver.Unsat -> at (k + 1)
-      | Solver.Unknown -> assert false (* no governor: the search completes *)
-    end
-  in
-  at 0
+  let goal = if target.polarity then bit_expr else Expr.not_ bit_expr in
+  let never = Mc.Prop.make ~name:"atpg.target" (Mc.Prop.never goal) in
+  let session = Mc.Session.create nl never in
+  match Mc.Session.check_upto ~depth:max_depth session with
+  | Mc.Session.Base_cex tr ->
+      (* trace frames list their inputs in netlist order *)
+      Test
+        (List.map
+           (fun (f : Mc.Trace.frame) -> Array.of_list (List.map snd f.inputs))
+           tr)
+  | Mc.Session.Base_holds -> Unreachable
+  | Mc.Session.Base_unknown ->
+      assert false (* no governor: the search completes *)
 
 type report = {
   covered : int;

@@ -36,20 +36,22 @@ let lint ?gov ?(pool = Symbad_par.Par.sequential) ?(escalate = false) ~seed:_
 
 (* --- the formal engines ----------------------------------------------- *)
 
-let model_check ?gov ?(pool = Symbad_par.Par.sequential) ?(max_depth = 12)
-    ~seed:_ (m : Level4.rtl_module) =
+let model_check ?gov ?(pool = Symbad_par.Par.sequential) ~seed:_
+    (m : Level4.rtl_module) =
   let reports, host_seconds =
     Verdict.timed (fun () ->
-        Mc.Engine.check_all ~pool ~max_depth ?gov m.Level4.netlist
+        Mc.Engine.check_all ~pool ~max_depth:Level4.max_depth ?gov
+          m.Level4.netlist
           m.Level4.properties)
   in
   Level4.mc_row ~host_seconds ~module_name:m.Level4.module_name reports
 
-let pcc ?gov ?(pool = Symbad_par.Par.sequential) ?(depth = 6)
-    ?(max_reg_bits = 4) ~seed:_ (m : Level4.rtl_module) =
+let pcc ?gov ?(pool = Symbad_par.Par.sequential) ~seed:_
+    (m : Level4.rtl_module) =
   let report, host_seconds =
     Verdict.timed (fun () ->
-        Pcc.run ~pool ~depth ~max_reg_bits ?gov m.Level4.netlist
+        Pcc.run ~pool ~depth:Level4.pcc_depth
+          ~max_reg_bits:Level4.max_reg_bits ?gov m.Level4.netlist
           m.Level4.properties)
   in
   Level4.pcc_row ~host_seconds ~module_name:m.Level4.module_name report

@@ -31,25 +31,23 @@ val lint :
 val model_check :
   ?gov:Symbad_gov.Gov.t ->
   ?pool:Symbad_par.Par.pool ->
-  ?max_depth:int ->
   seed:int ->
   Level4.rtl_module ->
   Verdict.t
 (** Incremental BMC + k-induction over every property
     ({!Symbad_mc.Engine.check_all}), consolidated to one row: [Proved]
-    iff all properties proved within [max_depth] (default 12). *)
+    iff all properties proved within {!Level4.max_depth}. *)
 
 val pcc :
   ?gov:Symbad_gov.Gov.t ->
   ?pool:Symbad_par.Par.pool ->
-  ?depth:int ->
-  ?max_reg_bits:int ->
   seed:int ->
   Level4.rtl_module ->
   Verdict.t
 (** Property-coverage completeness ({!Symbad_pcc.Pcc.run} +
-    {!Verdict.of_pcc}): [Coverage] over detectable faults, degrading to
-    [Inconclusive] when unresolved faults would otherwise pass. *)
+    {!Verdict.of_pcc}) at {!Level4.pcc_depth} and
+    {!Level4.max_reg_bits}: [Coverage] over detectable faults, degrading
+    to [Inconclusive] when unresolved faults would otherwise pass. *)
 
 val atpg :
   ?gov:Symbad_gov.Gov.t ->

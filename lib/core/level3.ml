@@ -238,7 +238,7 @@ let run ?(config = default_config) ?(omit_load_for = []) ?(channel_loss = [])
     (* periodic readback scrubbing: detects and repairs configuration
        upsets; stops at the first wake after the schedule has drained *)
     if config.scrub_period_ns > 0 then
-      Sim.Kernel.spawn p.kernel ~name:"scrubber" (fun () ->
+      Sim.Kernel.spawn p.kernel (fun () ->
           let rec loop () =
             Sim.Process.wait (Sim.Time.ns config.scrub_period_ns);
             if not (p.cpu_done ()) then begin

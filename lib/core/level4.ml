@@ -290,9 +290,15 @@ let results_verdicts ~module_name (res : module_results) =
     | Some pcc -> pcc_row ~host_seconds:res.pcc_s ~module_name pcc
     | None -> skipped (pcc_name module_name) )
 
+(* --- the engine depths ------------------------------------------------ *)
+
+let max_depth = 12
+let pcc_depth = 6
+let max_reg_bits = 4
+
 (* --- the verdict cache ------------------------------------------------ *)
 
-let cache_key ~escalate ~max_depth ~pcc_depth ~max_reg_bits gov m =
+let cache_key ~escalate gov m =
   Symbad_cache.Key.make ~netlist:m.netlist ~props:m.properties
     ~budget:(Symbad_gov.Gov.budget gov)
     ~params:
@@ -364,8 +370,7 @@ let store_report cache key r =
 
 (* --- driving one module ----------------------------------------------- *)
 
-let verify_module_live ?pool ~gov ~escalate ~max_depth ~pcc_depth ~max_reg_bits
-    m =
+let verify_module_live ?pool ~gov ~escalate m =
   (* the static gate comes first, over a thin slice: a netlist the lint
      disproves never reaches the SAT engines.  Only errors gate —
      warnings and governor-skipped rules let verification proceed. *)
@@ -420,14 +425,12 @@ let verify_module_live ?pool ~gov ~escalate ~max_depth ~pcc_depth ~max_reg_bits
       pcc_s;
     }
 
-let verify_module ?pool ?cache ?gov ?(escalate = false) ?(max_depth = 12)
-    ?(pcc_depth = 6) ?(max_reg_bits = 4) m =
+let verify_module ?pool ?cache ?gov ?(escalate = false) m =
   let gov = Symbad_gov.Gov.get gov in
   let key =
     match cache with
     | None -> None
-    | Some _ ->
-        Some (cache_key ~escalate ~max_depth ~pcc_depth ~max_reg_bits gov m)
+    | Some _ -> Some (cache_key ~escalate gov m)
   in
   let hit =
     match (cache, key) with
@@ -437,10 +440,7 @@ let verify_module ?pool ?cache ?gov ?(escalate = false) ?(max_depth = 12)
   match hit with
   | Some r -> r
   | None ->
-      let res =
-        verify_module_live ?pool ~gov ~escalate ~max_depth ~pcc_depth
-          ~max_reg_bits m
-      in
+      let res = verify_module_live ?pool ~gov ~escalate m in
       let lint_verdict, mc_verdict, pcc_verdict =
         results_verdicts ~module_name:m.module_name res
       in
@@ -461,7 +461,7 @@ let verify_module ?pool ?cache ?gov ?(escalate = false) ?(max_depth = 12)
       | _ -> ());
       r
 
-let run ?pool ?cache ?gov ?escalate ?max_depth ?pcc_depth ?max_reg_bits () =
+let run ?pool ?cache ?gov ?escalate () =
   let gov = Symbad_gov.Gov.get gov in
   let ms = modules () in
   (* per-module budget shares, fixed before any verification runs *)
@@ -470,8 +470,7 @@ let run ?pool ?cache ?gov ?escalate ?max_depth ?pcc_depth ?max_reg_bits () =
     modules =
       List.map2
         (fun m g ->
-          verify_module ?pool ?cache ~gov:g ?escalate ?max_depth ?pcc_depth
-            ?max_reg_bits m)
+          verify_module ?pool ?cache ~gov:g ?escalate m)
         ms shares;
   }
 

@@ -77,14 +77,27 @@ val pcc_row :
 val module_verdicts : module_report -> Verdict.t list
 (** [[lint; mc; pcc]] — the rows in table order. *)
 
+(** {1 Engine depths}
+
+    One setting for every level-4 run and for the {!Engines} drivers;
+    all three are part of the verdict-cache key. *)
+
+val max_depth : int
+(** [12]: the BMC / k-induction bound of model checking and of lint
+    escalation. *)
+
+val pcc_depth : int
+(** [6]: the cycle depth of PCC's fault-detectability checks. *)
+
+val max_reg_bits : int
+(** [4]: PCC injects stuck-at faults into at most this many low bits
+    of each register. *)
+
 val verify_module :
   ?pool:Symbad_par.Par.pool ->
   ?cache:Symbad_cache.Cache.t ->
   ?gov:Symbad_gov.Gov.t ->
   ?escalate:bool ->
-  ?max_depth:int ->
-  ?pcc_depth:int ->
-  ?max_reg_bits:int ->
   rtl_module ->
   module_report
 (** [pool] fans the per-fault PCC checks and per-property model-checking
@@ -115,9 +128,6 @@ val run :
   ?cache:Symbad_cache.Cache.t ->
   ?gov:Symbad_gov.Gov.t ->
   ?escalate:bool ->
-  ?max_depth:int ->
-  ?pcc_depth:int ->
-  ?max_reg_bits:int ->
   unit ->
   result
 (** Verify every case-study module.  [gov]'s remaining budget is split

@@ -44,9 +44,9 @@ let make ?passed ?(host_seconds = 0.) ?(detail = "") ?(cached = false) ~name
 let with_cached t = { t with cached = true; host_seconds = 0. }
 
 let timed f =
-  let t0 = Sys.time () in
+  let t0 = Unix.gettimeofday () in
   let v = f () in
-  (v, Sys.time () -. t0)
+  (v, Unix.gettimeofday () -. t0)
 
 (* --- adapters --------------------------------------------------------- *)
 

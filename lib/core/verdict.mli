@@ -42,8 +42,9 @@ val with_cached : t -> t
     zeroed (no engine ran this time). *)
 
 val timed : (unit -> 'a) -> 'a * float
-(** [timed f] is [f ()] paired with the host seconds it took (process
-    CPU time, [Sys.time]) — how every producer fills [host_seconds]. *)
+(** [timed f] is [f ()] paired with the host seconds it took (wall
+    time, [Unix.gettimeofday], the clock of the tracer and the budget
+    deadlines) — how every producer fills [host_seconds]. *)
 
 val coverage_ratio : outcome -> float option
 (** [hit / total] ([1.] when [total = 0]); [None] for non-coverage

@@ -1,5 +1,5 @@
-(* The resource governor: a budget, live spend counters and a cancel
-   token, organised as a tree.  Children are granted shares of the
+(* The resource governor: a budget and live spend counters, organised
+   as a tree.  Children are granted shares of the
    remaining budget; their charges propagate to every ancestor, so the
    parent's "remaining" always reflects what the whole subtree spent and
    unspent allowance flows forward to the next phase.
@@ -18,7 +18,6 @@ module Severity = Symbad_obs.Severity
 type t = {
   label : string;
   budget : Budget.t;
-  cancel : Cancel.t;
   spent_conflicts : int Atomic.t;
   spent_patterns : int Atomic.t;
   parent : t option;
@@ -34,11 +33,10 @@ let rec update cell f =
   let cur = Atomic.get cell in
   if not (Atomic.compare_and_set cell cur (f cur)) then update cell f
 
-let node ~label ~cancel ?parent budget =
+let node ~label ?parent budget =
   {
     label;
     budget;
-    cancel;
     spent_conflicts = Atomic.make 0;
     spent_patterns = Atomic.make 0;
     parent;
@@ -50,20 +48,19 @@ let node ~label ~cancel ?parent budget =
 
 (* shared by the whole process, so it keeps no children: recording them
    would grow memory with every ungoverned run *)
-let unlimited = node ~label:"unlimited" ~cancel:Cancel.none Budget.unlimited
+let unlimited = node ~label:"unlimited" Budget.unlimited
 
-let make ?(label = "gov") ?(cancel = Cancel.none) ?parent budget =
-  let t = node ~label ~cancel ?parent budget in
+let make ?(label = "gov") ?parent budget =
+  let t = node ~label ?parent budget in
   (match parent with
   | Some p when p != unlimited -> update p.children (List.cons t)
   | Some _ | None -> ());
   t
 
-let create ?label ?cancel budget = make ?label ?cancel budget
+let create ?label budget = make ?label budget
 let get = function Some g -> g | None -> unlimited
 let label t = t.label
 let budget t = t.budget
-let cancel_token t = t.cancel
 
 (* --- spend accounting ------------------------------------------------- *)
 
@@ -93,8 +90,7 @@ let remaining t =
 (* --- exhaustion ------------------------------------------------------- *)
 
 let exhaustion t =
-  if Cancel.is_cancelled t.cancel then Some Degrade.Cancelled
-  else if conflicts_left t = Some 0 then Some Degrade.Conflicts
+  if conflicts_left t = Some 0 then Some Degrade.Conflicts
   else if patterns_left t = Some 0 then Some Degrade.Patterns
   else if Budget.deadline_over t.budget then Some Degrade.Deadline
   else None
@@ -138,8 +134,7 @@ let split ?label:(l = "split") t n =
     ];
   List.mapi
     (fun i share ->
-      make ~label:(Printf.sprintf "%s.%s/%d" t.label l i) ~cancel:t.cancel
-        ~parent:t share)
+      make ~label:(Printf.sprintf "%s.%s/%d" t.label l i) ~parent:t share)
     (Budget.split ~n rem)
 
 let slice ?label:(l = "slice") ~fraction t =
@@ -152,8 +147,7 @@ let slice ?label:(l = "slice") ~fraction t =
       ("conflicts_left", opt_int share.Budget.conflicts);
       ("patterns_left", opt_int share.Budget.patterns);
     ];
-  make ~label:(Printf.sprintf "%s.%s" t.label l) ~cancel:t.cancel ~parent:t
-    share
+  make ~label:(Printf.sprintf "%s.%s" t.label l) ~parent:t share
 
 (* --- portfolio retry -------------------------------------------------- *)
 

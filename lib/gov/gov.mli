@@ -1,6 +1,7 @@
-(** The resource governor: one {!Budget} plus live spend accounting and
-    a {!Cancel} token, threaded through every verification engine so a
-    run always terminates on time with the best partial result.
+(** The resource governor: one {!Budget} plus live spend accounting,
+    threaded through every verification engine so a run always
+    terminates on time with the best partial result.  The budget's
+    allowances and deadline are the only stops.
 
     A governor is handed to an engine entry point ([Sat.Solver.solve],
     [Mc.Engine.check], the ATPG generators, [Pcc.run], the LPV checks,
@@ -18,20 +19,21 @@
     ones at any pool width.
 
     Telemetry: splits, exhaustions, retries and degradations are
-    reported as [gov.*] events and counters whenever [Symbad_obs] is
-    enabled (buffered and merged when emitted inside a Par job).  Each
+    reported as [gov.*] events (trace instants) and counters whenever
+    [Symbad_obs] is enabled (buffered and merged when emitted inside a
+    Par job).  Each
     node also keeps its children, retry count, degradation reasons and
     creation time, so the tree itself is the budget record: {!waterfall}
     reads it back as the table `symbad report` renders. *)
 
 type t
 
-val create : ?label:string -> ?cancel:Cancel.t -> Budget.t -> t
+val create : ?label:string -> Budget.t -> t
 (** A root governor over [budget].  [label] names it in telemetry
-    (default ["gov"]); [cancel] defaults to {!Cancel.none}. *)
+    (default ["gov"]). *)
 
 val unlimited : t
-(** The shared do-nothing governor: unlimited budget, never cancelled.
+(** The shared do-nothing governor: unlimited budget, never exhausted.
     What engine entry points use when handed no governor — identical
     behaviour to the pre-governor code.  Being process-wide, it does not
     keep the children {!split} and {!slice} derive from it. *)
@@ -44,8 +46,6 @@ val label : t -> string
 val budget : t -> Budget.t
 (** The budget this governor was created over (allowances as granted,
     not as remaining — see {!remaining}). *)
-
-val cancel_token : t -> Cancel.t
 
 (** {1 Spend accounting} *)
 
@@ -77,9 +77,9 @@ val remaining : t -> Budget.t
 
 val exhaustion : t -> Degrade.reason option
 (** Why this governor wants the run stopped, or [None] while budget
-    remains.  Checks the cancel flag and the logical allowances first
-    (atomic reads), then the deadline (one clock read) — cheap enough to
-    poll at every step boundary. *)
+    remains.  Checks the logical allowances first (atomic reads), then
+    the deadline (one clock read) — cheap enough to poll at every step
+    boundary. *)
 
 val out_of_budget : t -> bool
 (** [exhaustion t <> None]. *)
@@ -87,9 +87,9 @@ val out_of_budget : t -> bool
 (** {1 Hierarchy} *)
 
 val split : ?label:string -> t -> int -> t list
-(** [split g n] derives [n] child governors sharing the cancel token,
-    each granted a near-equal share of the remaining logical allowances
-    and the same deadline — the parallel split (siblings race the same
+(** [split g n] derives [n] child governors, each granted a near-equal
+    share of the remaining logical allowances and the same deadline —
+    the parallel split (siblings race the same
     clock).  Child charges propagate to [g].  Emits a [gov.split]
     event.  Raises [Invalid_argument] when [n < 1]. *)
 

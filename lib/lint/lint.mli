@@ -113,8 +113,8 @@ val escalate :
     unchanged.  Diagnostics are never dropped.  Byte-identical at any
     pool width.
 
-    Escalation is bounded by [gov] (its conflict allowance, deadline
-    and cancellation) and by [max_depth] (default 12): an obligation
+    Escalation is bounded by [gov] (its conflict allowance and
+    deadline) and by [max_depth] (default 12): an obligation
     that does not settle within them degrades to an [Inconclusive]
     discharge rather than stalling the report.  Conflict budgets are
     counted deterministically, so a governed run stays byte-identical. *)

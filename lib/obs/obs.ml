@@ -1,23 +1,24 @@
 (* The process-wide telemetry switchboard.
 
    Instrumentation all over the stack (kernel, bus, solver, FPGA, flow)
-   talks to one global tracer, one global metrics registry and one list
-   of event sinks, all behind a single [enabled] flag.  When telemetry
-   is off every instrumentation site reduces to one branch on
-   [Obs.enabled ()] — no allocation, no registry traffic — which keeps
-   the simulation hot paths at their uninstrumented speed.
+   talks to one global tracer and one global metrics registry, behind a
+   single [enabled] flag.  When telemetry is off every instrumentation
+   site reduces to one branch on [Obs.enabled ()] — no allocation, no
+   registry traffic — which keeps the simulation hot paths at their
+   uninstrumented speed.
 
-   The tracer, registry and sinks are not safe for concurrent mutation,
-   so direct writes belong to one domain: the one that last called
+   The tracer and registry are not safe for concurrent mutation, so
+   direct writes belong to one domain: the one that last called
    [set_enabled true].  Every other domain records into a per-domain
    [Telemetry_buffer.t] installed by the dispatcher ([with_buffer] — Par
-   installs one per job): spans into the buffer's own tracer, everything
-   else into its op log.  At the fan-in the dispatcher merges the
-   buffers in job order ([merge_buffer]) — spans by [Tracer.absorb],
-   ops by replay — so merged metrics are identical at any pool width.
-   A domain that is neither the owner nor running under a buffer drops
-   the emission and counts it ([dropped_count]) so the CLI can warn
-   instead of silently under-reporting. *)
+   installs one per job): spans and event instants into the buffer's own
+   tracer, metric emissions into its op log.  At the fan-in the
+   dispatcher merges the buffers in job order ([merge_buffer]) — the
+   timeline by [Tracer.absorb], metric ops by replay — so merged metrics
+   are identical at any pool width.  A domain that is neither the owner
+   nor running under a buffer drops the emission and counts it
+   ([dropped_count]) so the CLI can warn instead of silently
+   under-reporting. *)
 
 let enabled_flag = Atomic.make false
 let owner = ref (Domain.self ())
@@ -49,42 +50,32 @@ let set_enabled b =
 
 let tracer_ref = ref (Tracer.create ())
 let metrics_ref = ref (Metrics.create ())
-let sinks : Sink.t list ref = ref []
 
 let tracer () = !tracer_ref
 let metrics () = !metrics_ref
-let add_sink s = sinks := s :: !sinks
 
 let reset () =
   tracer_ref := Tracer.create ();
   metrics_ref := Metrics.create ();
-  sinks := [];
   Atomic.set dropped 0
-
-let now_us () = Unix.gettimeofday () *. 1e6
 
 let with_buffer b f =
   let old = Domain.DLS.get buffer_key in
   Domain.DLS.set buffer_key (Some b);
   Fun.protect ~finally:(fun () -> Domain.DLS.set buffer_key old) f
 
-(* --- events --- *)
+(* the timeline an enabled emission writes to *)
+let current_tracer = function
+  | Buffered b -> Telemetry_buffer.tracer b
+  | Direct | Off -> !tracer_ref
 
-let event ?(severity = Severity.Info) ?(args = []) ?sim_ns name =
+(* --- events: an event is one trace instant --- *)
+
+let event ?severity ?args ?sim_ns name =
   match mode () with
   | Off -> note_drop ()
-  | Direct ->
-      let e = Event.make ~severity ~args ?sim_ns ~host_us:(now_us ()) name in
-      List.iter (fun (s : Sink.t) -> s.Sink.emit e) !sinks;
-      (* warnings and errors also land on the timeline *)
-      if Severity.compare severity Severity.Info >= 0 then
-        Tracer.instant !tracer_ref ~severity ~args ?sim_ns name
-  | Buffered b ->
-      (* Debug events only reach sinks, so don't buffer them unless a
-         sink is listening — a simulated job parks/resumes constantly *)
-      if Severity.compare severity Severity.Info >= 0 || !sinks <> [] then
-        Telemetry_buffer.event b
-          (Event.make ~severity ~args ?sim_ns ~host_us:(now_us ()) name)
+  | (Direct | Buffered _) as m ->
+      Tracer.instant (current_tracer m) ?severity ?args ?sim_ns name
 
 (* --- spans --- *)
 
@@ -98,9 +89,7 @@ let begin_span ?track ?cat ?args ?sim_ns name =
       note_drop ();
       S_none
   | (Direct | Buffered _) as m ->
-      let tr =
-        match m with Buffered b -> Telemetry_buffer.tracer b | _ -> !tracer_ref
-      in
+      let tr = current_tracer m in
       S_open (tr, Tracer.begin_span tr ?track ?cat ?args ?sim_ns name)
 
 let end_span ?args ?sim_ns (s : span) =
@@ -146,22 +135,15 @@ let observe name v =
 
 (* --- the merge --- *)
 
-let replay ~lane (op : Telemetry_buffer.op) =
+let replay (op : Telemetry_buffer.op) =
   let m = !metrics_ref in
   match op with
   | Counter { name; by } -> Metrics.incr ~by (Metrics.counter m name)
   | Gauge { name; x; value } -> Metrics.set ?x (Metrics.gauge m name) value
   | Observe { name; value } -> Metrics.observe (Metrics.histogram m name) value
-  | Ev e ->
-      List.iter (fun (s : Sink.t) -> s.Sink.emit e) !sinks;
-      if Severity.compare e.Event.severity Severity.Info >= 0 then
-        Tracer.instant !tracer_ref
-          ~track:(Tracer.lane_track ~lane Tracer.default_track ~top_level:true)
-          ~severity:e.Event.severity ~args:e.Event.args ?sim_ns:e.Event.sim_ns
-          ~ts_us:e.Event.host_us e.Event.name
 
 let merge_buffer ?parent ~lane buf =
-  let absorb_spans into =
+  let absorb_timeline into =
     let parent =
       match parent with
       | Some (S_open (tr, s)) when tr == into -> Some s
@@ -173,8 +155,8 @@ let merge_buffer ?parent ~lane buf =
   | Off -> () (* telemetry was turned off mid-flight; nothing to merge into *)
   | Buffered outer ->
       (* nested Par map: the ops replay when the outer buffer merges *)
-      absorb_spans (Telemetry_buffer.tracer outer);
+      absorb_timeline (Telemetry_buffer.tracer outer);
       Telemetry_buffer.absorb outer buf
   | Direct ->
-      absorb_spans !tracer_ref;
-      List.iter (replay ~lane) (Telemetry_buffer.ops buf)
+      absorb_timeline !tracer_ref;
+      List.iter replay (Telemetry_buffer.ops buf)

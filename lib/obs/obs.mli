@@ -1,5 +1,5 @@
-(** Process-wide telemetry: one tracer, one metrics registry, one sink
-    list, behind a single enable flag.
+(** Process-wide telemetry: one tracer and one metrics registry behind
+    a single enable flag.
 
     Everything is a no-op while disabled; instrumentation sites on hot
     paths should still guard with [if Obs.enabled () then ...] so that
@@ -11,7 +11,8 @@
     ({!with_buffer} — [Par] installs one per job) and the dispatcher
     merges the buffers at the fan-in ({!merge_buffer}) in job order, so
     merged metrics are byte-identical at any pool width.  Spans nest by
-    {!Tracer}'s one rule wherever they are recorded.  Emissions from
+    {!Tracer}'s one rule wherever they are recorded, and an event is one
+    {!Tracer.instant} wherever it is recorded.  Emissions from
     a domain with neither role are dropped and counted
     ({!dropped_count}). *)
 
@@ -30,12 +31,9 @@ val tracer : unit -> Tracer.t
 val metrics : unit -> Metrics.t
 (** The process-wide metrics registry (owner domain only). *)
 
-val add_sink : Sink.t -> unit
-(** Register an event sink; every subsequent {!event} reaches it. *)
-
 val reset : unit -> unit
-(** Fresh tracer, fresh registry, no sinks, dropped count zeroed.  Does
-    not change the enabled flag. *)
+(** Fresh tracer, fresh registry, dropped count zeroed.  Does not change
+    the enabled flag. *)
 
 (** {1 Cross-domain buffering} *)
 
@@ -52,8 +50,9 @@ val event :
   ?sim_ns:int ->
   string ->
   unit
-(** Emit a structured event to every sink; [Info] and graver also become
-    instants on the trace timeline. *)
+(** Record an event as a {!Tracer.instant} (severity, args and simulated
+    time included) on the current timeline: the global tracer on the
+    owner domain, the installed buffer's tracer on a worker. *)
 
 (** {1 Spans} *)
 
@@ -93,12 +92,13 @@ val with_buffer : Telemetry_buffer.t -> (unit -> 'a) -> 'a
 val merge_buffer : ?parent:span -> lane:int -> Telemetry_buffer.t -> unit
 (** Merge a buffer into the caller's telemetry target: the global
     tracer/registry on the owner domain, or the caller's own buffer
-    when Par maps nest.  Spans move by {!Tracer.absorb}: the buffer's
-    root spans are parented to [parent] (the dispatch span) and placed
-    on track ["lane<lane>"]; nested spans keep their original track
-    under a ["lane<lane>/"] prefix.  Counter deltas, gauge samples,
-    histogram observations and events replay in recorded order —
-    merging buffers in job-dispatch order makes the merged registry
+    when Par maps nest.  The timeline moves by {!Tracer.absorb}: the
+    buffer's root spans are parented to [parent] (the dispatch span) and
+    placed on track ["lane<lane>"]; nested spans keep their original
+    track under a ["lane<lane>/"] prefix; event instants keep their
+    host time and land on ["lane<lane>"].  Counter deltas, gauge samples
+    and histogram observations replay in recorded order — merging
+    buffers in job-dispatch order makes the merged registry
     deterministic. *)
 
 (** {1 Metric shorthands} *)

@@ -1,21 +1,5 @@
-(* Event severities, ordered from chattiest to gravest. *)
+(* Event severities, ordered from mildest to gravest. *)
 
-type t = Debug | Info | Warn | Error
+type t = Info | Warn | Error
 
-let to_int = function Debug -> 0 | Info -> 1 | Warn -> 2 | Error -> 3
-
-let to_string = function
-  | Debug -> "debug"
-  | Info -> "info"
-  | Warn -> "warn"
-  | Error -> "error"
-
-let of_string = function
-  | "debug" -> Some Debug
-  | "info" -> Some Info
-  | "warn" -> Some Warn
-  | "error" -> Some Error
-  | _ -> None
-
-let compare a b = Int.compare (to_int a) (to_int b)
-let pp fmt s = Fmt.string fmt (to_string s)
+let to_string = function Info -> "info" | Warn -> "warn" | Error -> "error"

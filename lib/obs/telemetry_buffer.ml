@@ -4,10 +4,10 @@
    The global tracer and metrics registry are single-domain state, so a
    Par worker cannot write to them directly.  Instead the dispatching
    domain installs one buffer per job (via [Obs.with_buffer]).  Spans
-   begun while it is installed go to the buffer's own [Tracer.t], which
-   the merge moves over with [Tracer.absorb]; every other emission
-   appends a small replayable op — a counter delta, a gauge sample, a
-   histogram observation, or a structured event — which the dispatcher
+   and event instants recorded while it is installed go to the buffer's
+   own [Tracer.t], which the merge moves over with [Tracer.absorb]; every
+   metric emission appends a small replayable op — a counter delta, a
+   gauge sample or a histogram observation — which the dispatcher
    replays after the fan-in in job order ([Obs.merge_buffer]).  Replaying
    samples, rather than merging registries, keeps gauge [x] positions
    and float histogram sums bit-identical to a sequential run. *)
@@ -16,7 +16,6 @@ type op =
   | Counter of { name : string; by : int }
   | Gauge of { name : string; x : float option; value : float }
   | Observe of { name : string; value : int }
-  | Ev of Event.t
 
 type t = { tracer : Tracer.t; mutable ops : op list  (* newest first *) }
 
@@ -26,7 +25,6 @@ let tracer b = b.tracer
 let counter b ?(by = 1) name = b.ops <- Counter { name; by } :: b.ops
 let gauge b ?x name value = b.ops <- Gauge { name; x; value } :: b.ops
 let observe b name value = b.ops <- Observe { name; value } :: b.ops
-let event b e = b.ops <- Ev e :: b.ops
 
 let ops b = List.rev b.ops
 

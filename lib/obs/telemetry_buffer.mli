@@ -1,10 +1,10 @@
-(** Per-domain telemetry buffers: a private span timeline plus a
-    replayable op log, so that [Par] worker domains record spans,
-    counter deltas, gauge/histogram samples and events without touching
-    the single-domain tracer/registry.  The dispatching domain installs
-    one buffer per job ([Obs.with_buffer]) and merges them back in job
-    order after the fan-in ([Obs.merge_buffer]) — see
-    [docs/OBSERVABILITY.md]. *)
+(** Per-domain telemetry buffers: a private tracer for spans and event
+    instants plus a replayable log of metric ops, so that [Par] worker
+    domains record spans, events, counter deltas and gauge/histogram
+    samples without touching the single-domain tracer/registry.  The
+    dispatching domain installs one buffer per job ([Obs.with_buffer])
+    and merges them back in job order after the fan-in
+    ([Obs.merge_buffer]) — see [docs/OBSERVABILITY.md]. *)
 
 type t
 
@@ -12,23 +12,22 @@ type op =
   | Counter of { name : string; by : int }
   | Gauge of { name : string; x : float option; value : float }
   | Observe of { name : string; value : int }
-  | Ev of Event.t
 
 val create : unit -> t
 (** An empty buffer. *)
 
 val tracer : t -> Tracer.t
-(** The buffer's span timeline; spans nest by {!Tracer}'s one rule. *)
+(** The buffer's timeline: its spans nest by {!Tracer}'s one rule, and
+    its instants are the job's events. *)
 
 val counter : t -> ?by:int -> string -> unit
 val gauge : t -> ?x:float -> string -> float -> unit
 val observe : t -> string -> int -> unit
-val event : t -> Event.t -> unit
 
 val ops : t -> op list
-(** Recorded ops, oldest first. *)
+(** Recorded metric ops, oldest first. *)
 
 val absorb : t -> t -> unit
 (** [absorb outer inner] appends [inner]'s op log to [outer]'s — the op
-    half of the nested-Par merge (spans merge through
+    half of the nested-Par merge (spans and instants merge through
     {!Tracer.absorb}). *)

@@ -15,9 +15,9 @@
    used by one fiber of control at a time (the owner domain, or one Par
    job), so dynamic nesting is causality even across tracks; [depth]
    stays per track because it only positions the rectangle.  [absorb]
-   is the one merge: it moves a finished job's spans into another tracer
-   under a dispatch span, and those links — and only those — export as
-   Chrome flow arrows ("s"/"f"). *)
+   is the one merge: it moves a finished job's spans and instants into
+   another tracer, the spans under a dispatch span, and those links — and
+   only those — export as Chrome flow arrows ("s"/"f"). *)
 
 type track = { tid : int; label : string; mutable depth : int }
 
@@ -174,12 +174,12 @@ let with_span t ?track ?cat ?args ?sim_ns name f =
       raise e
 
 let instant t ?(track = default_track) ?(severity = Severity.Info)
-    ?(args = []) ?sim_ns ?ts_us name =
+    ?(args = []) ?sim_ns name =
   t.instants <-
     {
       i_name = name;
       i_severity = severity;
-      i_ts_us = (match ts_us with Some ts -> ts | None -> now_us ());
+      i_ts_us = now_us ();
       i_track = track_of t track;
       i_sim_ns = sim_ns;
       i_args = args;
@@ -194,9 +194,10 @@ let spans_with_cat t cat =
   List.filter (fun c -> String.equal c.cat cat) (completed_spans t)
 
 (* The lane prefix applied at merge time: a root span of the absorbed
-   tracer goes on the bare lane track, everything below it keeps its
-   original track under the lane.  Nested Par maps prefix again,
-   yielding hierarchical lane paths ("lane1/lane0/m2"). *)
+   tracer (and every instant) goes on the bare lane track, every span
+   below a root keeps its original track under the lane.  Nested Par
+   maps prefix again, yielding hierarchical lane paths
+   ("lane1/lane0/m2"). *)
 let lane_track ~lane orig_track ~top_level =
   if top_level then Printf.sprintf "lane%d" lane
   else Printf.sprintf "lane%d/%s" lane orig_track
@@ -230,7 +231,18 @@ let absorb into ~lane ?parent from =
           p.s_self_us <- p.s_self_us -. c.dur_us
       | Some _ | None -> ())
     (completed_spans from);
-  Hashtbl.iter (fun id () -> Hashtbl.replace into.links (id + offset) ()) from.links
+  Hashtbl.iter
+    (fun id () -> Hashtbl.replace into.links (id + offset) ())
+    from.links;
+  (* instants keep their host time and land on the bare lane track *)
+  if from.instants <> [] then begin
+    let lane_tr =
+      track_of into (lane_track ~lane default_track ~top_level:true)
+    in
+    List.iter
+      (fun i -> into.instants <- { i with i_track = lane_tr } :: into.instants)
+      (List.rev from.instants)
+  end
 
 (* --- Chrome trace_event export --- *)
 

@@ -77,12 +77,10 @@ val instant :
   ?severity:Severity.t ->
   ?args:(string * Json.t) list ->
   ?sim_ns:int ->
-  ?ts_us:float ->
   string ->
   unit
-(** A zero-duration marker on the timeline.  [ts_us] overrides the
-    timestamp (absolute host microseconds) — the merge path uses it to
-    replay events recorded on worker domains at their original time. *)
+(** A zero-duration marker on the timeline at the current host time:
+    the one record of an [Obs.event]. *)
 
 val span_count : t -> int
 (** Number of completed spans. *)
@@ -93,17 +91,15 @@ val completed_spans : t -> completed list
 val spans_with_cat : t -> string -> completed list
 (** Completed spans whose category equals the argument, oldest first. *)
 
-val lane_track : lane:int -> string -> top_level:bool -> string
-(** The merge-time track renaming: top-level spans land on ["lane<k>"],
-    nested spans on ["lane<k>/<original track>"]. *)
-
 val absorb : t -> lane:int -> ?parent:span -> t -> unit
 (** [absorb into ~lane ?parent from] appends [from]'s completed spans to
-    [into]: ids are offset past [into]'s, tracks renamed by
-    {!lane_track}, and the root spans of [from] parented to [parent] (a
-    span open in [into], whose self time then excludes them) — the one
-    span merge, for a [Par] job into the owner timeline and for a nested
-    map into its dispatching job alike.  [from]'s instants are not moved. *)
+    [into]: ids are offset past [into]'s, root spans placed on track
+    ["lane<lane>"] and parented to [parent] (a span open in [into],
+    whose self time then excludes them), nested spans on
+    ["lane<lane>/<original track>"].  [from]'s instants follow, in
+    recorded order and at their original host time, on the bare
+    ["lane<lane>"] track.  The one merge, for a [Par] job into the owner
+    timeline and for a nested map into its dispatching job alike. *)
 
 val to_chrome_json : t -> string
 (** The whole timeline as a Chrome trace_event JSON document, with one

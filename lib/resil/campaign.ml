@@ -293,7 +293,7 @@ let run_one ~workload ~mapping ~baseline ~base_winner ~base_config
               baseline.Level3.latency_ns * at_permille / 1000
             in
             let poll_ns = 2_000 and max_polls = 2_000 in
-            Kernel.spawn kernel ~name:"saboteur" (fun () ->
+            Kernel.spawn kernel (fun () ->
                 Process.wait (Time.ns t_ns);
                 let repairs () =
                   let s = Fpga.stats fpga in

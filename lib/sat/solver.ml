@@ -443,7 +443,7 @@ let rec luby i =
 
 let solve_search ?(assumptions = []) ?gov s =
   (* the governor is the only limit: its conflict allowance caps this
-     call, and deadline/cancellation are polled at every conflict —
+     call, and the deadline is polled at every conflict —
      conflicts are heavy enough that one clock read is noise *)
   let conflict_limit =
     match Option.bind gov Symbad_gov.Gov.conflicts_left with

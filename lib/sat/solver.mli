@@ -16,8 +16,8 @@
 type t
 
 type result = Sat | Unsat | Unknown
-(** [Unknown]: the governor's budget ran out — its conflict allowance,
-    its wall-clock deadline, or a cancellation (see {!Symbad_gov.Gov}). *)
+(** [Unknown]: the governor's budget ran out — its conflict allowance
+    or its wall-clock deadline (see {!Symbad_gov.Gov}). *)
 
 val create : int -> t
 (** [create n] is a solver over variables [1..n]. *)
@@ -50,9 +50,9 @@ val solve : ?assumptions:int list -> ?gov:Symbad_gov.Gov.t -> t -> result
 (** Decide satisfiability under the given assumption literals.
 
     [gov] is the only bound on the search: its conflict allowance caps
-    this call, its deadline and cancel token are polled at every
-    conflict, and the conflicts actually spent are charged back to it on
-    return (on every exit path).  An exhausted governor yields [Unknown]
+    this call, its deadline is polled at every conflict, and the
+    conflicts actually spent are charged back to it on return (on every
+    exit path).  An exhausted governor yields [Unknown]
     immediately; without a governor the search runs to [Sat] or [Unsat].
     The effort a call spent is the difference of {!val-stats} around it. *)
 

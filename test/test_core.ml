@@ -569,6 +569,14 @@ let flow_speed_ordering () =
   | Some a, Some b -> check_bool "reconfig costs latency" true (b > a)
   | _ -> Alcotest.fail "levels 2 and 3 report latency"
 
+(* host seconds are wall time: a sleeping producer spends almost no
+   CPU, yet its verdict row must still report the time it took *)
+let verdict_timed_is_wall_time () =
+  let (), s = Verdict.timed (fun () -> Unix.sleepf 0.05) in
+  check_bool
+    (Printf.sprintf "timed a 0.05 s sleep as %.3f s" s)
+    true (s >= 0.04)
+
 let suite =
   [
     Alcotest.test_case "token bytes" `Quick token_bytes;
@@ -624,6 +632,8 @@ let suite =
       wrapper_gen_checkers_catch_mutations;
     Alcotest.test_case "wrapper_gen spec validation" `Quick
       wrapper_gen_rejects_bad_spec;
+    Alcotest.test_case "verdict timing is wall time" `Quick
+      verdict_timed_is_wall_time;
     Alcotest.test_case "flow smoke: all pass" `Slow flow_smoke_all_passes;
     Alcotest.test_case "flow markdown report" `Slow flow_markdown_report;
     Alcotest.test_case "flow speed ordering" `Slow flow_speed_ordering;

@@ -1,10 +1,12 @@
 (* Tests for the observability library: JSON round-trips, histogram
    bucketing, span nesting, Chrome-trace export validated by parsing it
-   back, disabled-mode no-op semantics, and the end-to-end wiring
+   back, events as trace instants (merged from Par jobs onto lane
+   tracks), disabled-mode no-op semantics, and the end-to-end wiring
    through the four-level flow. *)
 
 open Symbad_obs
 open Symbad_core
+module Par = Symbad_par.Par
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -238,32 +240,91 @@ let disabled_is_noop () =
       (* end_span on the canonical disabled span is a no-op too *)
       Obs.end_span Obs.null_span)
 
-let events_reach_sinks () =
+(* The trace's instants as (name, severity, track label, args), in
+   export order. *)
+let trace_instants () =
+  let doc = Json.parse_exn (Tracer.to_chrome_json (Obs.tracer ())) in
+  let events =
+    Option.get (Json.to_list (Option.get (Json.member "traceEvents" doc)))
+  in
+  let field k e = Option.get (Json.member k e) in
+  let str k e = Option.get (Json.to_str (field k e)) in
+  let tid e = Option.get (Json.to_number (field "tid" e)) in
+  let labels =
+    List.filter_map
+      (fun e ->
+        if str "ph" e = "M" then Some (tid e, str "name" (field "args" e))
+        else None)
+      events
+  in
+  List.filter_map
+    (fun e ->
+      if str "ph" e = "i" then
+        Some
+          (str "name" e, str "cat" e, List.assoc (tid e) labels, field "args" e)
+      else None)
+    events
+
+let event_is_one_instant () =
   with_obs true (fun () ->
-      let sink, drain = Sink.buffer () in
-      Obs.add_sink sink;
-      Obs.event ~severity:Severity.Debug "quiet";
       Obs.event ~severity:Severity.Error
         ~args:[ ("k", Json.Str "v") ]
         ~sim_ns:17 "loud";
-      let evs = drain () in
-      check_int "both recorded" 2 (List.length evs);
-      let loud = List.nth evs 1 in
-      check_str "name" "loud" loud.Event.name;
-      check_bool "sim time carried" true (loud.Event.sim_ns = Some 17);
-      (* Debug stays off the timeline; Error becomes an instant *)
-      let doc = Json.parse_exn (Tracer.to_chrome_json (Obs.tracer ())) in
-      let events =
-        Option.get (Json.to_list (Option.get (Json.member "traceEvents" doc)))
-      in
-      check_int "one instant" 1
-        (List.length
-           (List.filter
-              (fun e ->
-                Json.member "ph" e |> Option.get |> Json.to_str
-                |> Option.get = "i")
-              events));
-      ignore (Json.parse_exn (Json.to_string (Event.to_json loud))))
+      Obs.event "plain";
+      check_int "no spans" 0 (Tracer.span_count (Obs.tracer ()));
+      match trace_instants () with
+      | [ (n1, sev1, tr1, args1); (n2, sev2, tr2, args2) ] ->
+          check_str "name" "loud" n1;
+          check_str "severity" "error" sev1;
+          check_str "track" Tracer.default_track tr1;
+          check_bool "args and sim time carried" true
+            (args1 = Json.Obj [ ("sim_ns", Json.Int 17); ("k", Json.Str "v") ]);
+          check_str "second name" "plain" n2;
+          check_str "default severity" "info" sev2;
+          check_str "second track" Tracer.default_track tr2;
+          check_bool "no args" true (args2 = Json.Obj [])
+      | l -> Alcotest.failf "expected 2 instants, got %d" (List.length l))
+
+(* An event inside a Par job is recorded in the job's buffer and moved
+   by the merge: one instant on the bare lane track of the job, nested
+   maps included, with the same names and args at any pool width. *)
+let par_event_lands_on_lane () =
+  let run jobs =
+    with_obs true (fun () ->
+        Par.with_pool ~jobs (fun pool ->
+            ignore
+              (Par.map pool
+                 (fun i ->
+                   Obs.event ~args:[ ("i", Json.Int i) ] "job.ev";
+                   Par.map Par.sequential
+                     (fun j ->
+                       Obs.event ~severity:Severity.Warn
+                         ~args:[ ("i", Json.Int i); ("j", Json.Int j) ]
+                         "job.nested")
+                     [ 0; 1 ])
+                 (List.init 6 Fun.id)));
+        trace_instants ())
+  in
+  let is_lane l =
+    String.length l > 4
+    && String.sub l 0 4 = "lane"
+    && String.for_all (function '0' .. '9' -> true | _ -> false)
+         (String.sub l 4 (String.length l - 4))
+  in
+  let seq = run 1 and par = run 2 in
+  List.iter
+    (fun instants ->
+      check_int "one instant per event" 18 (List.length instants);
+      List.iter
+        (fun (_, _, track, _) ->
+          check_bool ("bare lane track: " ^ track) true (is_lane track))
+        instants)
+    [ seq; par ];
+  check_bool "lane0 only at --jobs 1" true
+    (List.for_all (fun (_, _, tr, _) -> tr = "lane0") seq);
+  let logical = List.map (fun (n, sev, _, args) -> (n, sev, args)) in
+  check_bool "same names, severities and args at --jobs 1 and 2" true
+    (logical seq = logical par)
 
 (* --- end to end through the flow --- *)
 
@@ -324,6 +385,8 @@ let suite =
     Alcotest.test_case "chrome trace parses back" `Quick
       chrome_trace_parses_back;
     Alcotest.test_case "disabled is no-op" `Quick disabled_is_noop;
-    Alcotest.test_case "events reach sinks" `Quick events_reach_sinks;
+    Alcotest.test_case "an event is one instant" `Quick event_is_one_instant;
+    Alcotest.test_case "a par event lands on its lane" `Quick
+      par_event_lands_on_lane;
     Alcotest.test_case "flow is instrumented" `Slow flow_is_instrumented;
   ]
